@@ -30,7 +30,6 @@ use balg_core::expr::Expr;
 use balg_core::parse::parse_expr;
 use balg_core::rewrite::optimize;
 use balg_core::schema::{Database, Schema};
-use balg_core::typecheck::check;
 use balg_core::value::Value;
 
 /// The outcome of one input line.
@@ -141,15 +140,15 @@ impl Session {
             }
             "check" => match parse_expr(args) {
                 Err(e) => Response::Text(e.to_string()),
-                Ok(expr) => match check(&expr, &self.schema()) {
+                Ok(expr) => match balg_core::analyze::analyze(&expr, &self.schema()) {
                     Err(e) => Response::Text(format!("type error: {e}")),
-                    Ok(analysis) => Response::Text(format!(
+                    Ok(facts) => Response::Text(format!(
                         "type: {}\nBALG level: {} (power nesting {})\ncore BALG: {}{}",
-                        analysis.ty,
-                        analysis.balg_level(),
-                        analysis.power_nesting,
-                        analysis.is_core_balg(),
-                        extension_notes(&analysis)
+                        facts.ty,
+                        facts.balg_level(),
+                        facts.power_nesting,
+                        facts.is_core_balg(),
+                        extension_notes(&facts)
                     )),
                 },
             },
@@ -250,18 +249,18 @@ fn metrics_command() -> Response {
     }
 }
 
-fn extension_notes(analysis: &balg_core::typecheck::Analysis) -> String {
+fn extension_notes(facts: &balg_core::analyze::Facts) -> String {
     let mut notes = Vec::new();
-    if analysis.uses_powerbag {
+    if facts.uses_powerbag {
         notes.push("powerbag");
     }
-    if analysis.uses_ifp {
+    if facts.uses_ifp {
         notes.push("IFP");
     }
-    if analysis.uses_nest {
+    if facts.uses_nest {
         notes.push("nest");
     }
-    if analysis.uses_order {
+    if facts.uses_order {
         notes.push("order predicates");
     }
     if notes.is_empty() {
@@ -573,6 +572,17 @@ mod tests {
         assert!(out.contains("BALG level: 2"), "{out}");
         let out = text(session.process_line(":check ifp(T, T, G)"));
         assert!(out.contains("IFP"), "{out}");
+    }
+
+    #[test]
+    fn check_rejects_alpha_zero_with_one_based_message() {
+        let mut session = Session::new();
+        session.process_line(":load G bag{ [a,b] }");
+        let out = text(session.process_line(":check map(x, attr(x, 0), G)"));
+        assert_eq!(
+            out,
+            "type error: attribute α0 is invalid: attribute indices are 1-based"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! algebra is a *static* property of an expression — which operators it
 //! composes — not of the data it runs on. This module turns that
 //! observation into a reusable pass over [`Expr`] that, given a
-//! [`Schema`], derives four kinds of facts in a single traversal:
+//! [`Schema`], derives five kinds of facts in a single traversal:
 //!
 //! 1. **Shape/type inference** — the output [`Type`], tuple arities and
 //!    bag nesting of every subexpression. Out-of-bounds `αᵢ`, the always
@@ -33,12 +33,21 @@
 //!    `TooLarge`-risk classification ([`CostClass::Exponential`] /
 //!    [`CostClass::HyperExponential`]) when powerset, powerbag, or an
 //!    unbounded fixpoint can blow up (Sections 5–6 of the paper).
+//! 5. **Fragment membership** — the structural parameters the paper's
+//!    hierarchy results are phrased in: the maximal bag nesting over
+//!    every intermediate type (membership in BALGᵏ, Sections 4–6; BALG¹
+//!    additionally requires every type to be *strictly unnested*), the
+//!    **power nesting** — the maximal number of `P`/`P_b` on a
+//!    root-to-leaf path, defining the classes BALGᵏᵢ of Theorem 6.2 —
+//!    and one flag per operator outside the core algebra (`P_b`, `IFP`,
+//!    `nest`, order predicates) or relevant to Propositions 4.1–4.3 (`ε`,
+//!    `−`, `P`). See [`Facts::balg_level`] and [`Facts::is_core_balg`].
 //!
 //! The "cannot error" certificate ([`Facts::cannot_error`]) covers the
 //! *shape* errors (`BagError`, unbound variables): when every inferred
 //! type is concrete, evaluation on a schema-conforming database can only
 //! fail by exceeding a resource budget, never with a shape error.
-//! Soundness of all four fact families is gated by the differential
+//! Soundness of all five fact families is gated by the differential
 //! proptest in `tests/analyze_differential.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,9 +55,59 @@ use std::fmt;
 
 use crate::expr::{Expr, Pred, Var};
 use crate::schema::Schema;
-use crate::typecheck::TypeError;
 use crate::types::Type;
 use crate::value::Value;
+
+/// A static type error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TypeError {
+    /// A variable is neither λ-bound nor declared in the schema.
+    UnboundVariable(Var),
+    /// A bag operation was applied to a non-bag type.
+    NotABag(Type),
+    /// Cartesian product requires bags of tuples.
+    NotATupleBag(Type),
+    /// Attribute projection on a non-tuple type or out-of-range index.
+    BadAttribute {
+        /// 1-based requested index.
+        index: usize,
+        /// The offending type.
+        ty: Type,
+    },
+    /// Two sides of a union/difference/comparison have incompatible types.
+    Incompatible(Type, Type),
+    /// `δ` applied to a bag whose elements are not bags.
+    DestroyNeedsNestedBag(Type),
+    /// A literal value is not homogeneous (has no type).
+    IllTypedLiteral,
+    /// IFP body type incompatible with its accumulator.
+    IfpBodyMismatch(Type, Type),
+}
+
+impl fmt::Display for TypeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TypeError::UnboundVariable(name) => write!(f, "unbound variable {name}"),
+            TypeError::NotABag(ty) => write!(f, "expected a bag type, got {ty}"),
+            TypeError::NotATupleBag(ty) => {
+                write!(f, "cartesian product needs a bag of tuples, got {ty}")
+            }
+            TypeError::BadAttribute { index, ty } => {
+                write!(f, "attribute α{index} invalid for type {ty}")
+            }
+            TypeError::Incompatible(a, b) => write!(f, "incompatible types {a} and {b}"),
+            TypeError::DestroyNeedsNestedBag(ty) => {
+                write!(f, "δ needs a bag of bags, got {ty}")
+            }
+            TypeError::IllTypedLiteral => f.write_str("heterogeneous literal bag has no type"),
+            TypeError::IfpBodyMismatch(a, b) => {
+                write!(f, "IFP body type {a} incompatible with accumulator {b}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TypeError {}
 
 /// Why an expression is statically rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,6 +255,28 @@ pub struct Facts {
     /// condition that forces the incremental engine to recompute the
     /// enclosing `MAP`/`σ`/`IFP`.
     pub lambda_affected: BTreeSet<Var>,
+    /// Maximal bag nesting over every intermediate type (inputs included).
+    pub max_bag_nesting: usize,
+    /// `true` iff every intermediate type is `U^k` or `⟦U^k⟧` — the BALG¹
+    /// typing discipline of Section 4.
+    pub strictly_unnested: bool,
+    /// Maximal number of `P`/`P_b` on a root-to-leaf path (the power
+    /// nesting `i` of BALGᵏᵢ, Theorem 6.2).
+    pub power_nesting: usize,
+    /// Uses the powerbag extension (Definition 5.1).
+    pub uses_powerbag: bool,
+    /// Uses the inflationary fixpoint extension (Section 6).
+    pub uses_ifp: bool,
+    /// Uses order predicates `<`/`≤` on the domain.
+    pub uses_order: bool,
+    /// Uses duplicate elimination `ε` (relevant to Proposition 4.1).
+    pub uses_dedup: bool,
+    /// Uses subtraction `−` (relevant to Propositions 4.1–4.3).
+    pub uses_subtract: bool,
+    /// Uses powerset `P`.
+    pub uses_powerset: bool,
+    /// Uses the nest extension (\[PG88\], Conclusion).
+    pub uses_nest: bool,
 }
 
 impl Facts {
@@ -214,25 +295,65 @@ impl Facts {
             .values()
             .all(|&class| class <= Linearity::Bilinear)
     }
+
+    /// The smallest `k` such that the expression is in BALGᵏ. By the
+    /// Section 4 convention, level 1 additionally demands strictly
+    /// unnested types.
+    pub fn balg_level(&self) -> usize {
+        if self.max_bag_nesting <= 1 && self.strictly_unnested {
+            1
+        } else {
+            self.max_bag_nesting.max(2)
+        }
+    }
+
+    /// `true` iff the expression is in BALGᵏ (and uses no extensions).
+    pub fn in_balg(&self, k: usize) -> bool {
+        self.is_core_balg() && self.balg_level() <= k
+    }
+
+    /// `true` iff only the paper's core BALG operations are used (no
+    /// powerbag, no IFP, no nest, no order predicates).
+    pub fn is_core_balg(&self) -> bool {
+        !self.uses_powerbag && !self.uses_ifp && !self.uses_order && !self.uses_nest
+    }
 }
 
 /// Analyze `expr` against `schema`: full type inference plus set-ness,
-/// linearity, and tractability facts, in one pass.
+/// linearity, tractability, and fragment facts, in one pass.
 pub fn analyze(expr: &Expr, schema: &Schema) -> Result<Facts, AnalyzeError> {
     let mut pass = Pass {
         schema,
         env: Vec::new(),
         all_concrete: true,
+        max_bag_nesting: 0,
+        strictly_unnested: true,
+        uses_powerbag: false,
+        uses_ifp: false,
+        uses_order: false,
+        uses_dedup: false,
+        uses_subtract: false,
+        uses_powerset: false,
+        uses_nest: false,
     };
     let node = pass.infer(expr)?;
-    let all_concrete = pass.all_concrete;
     Ok(Facts {
         ty: node.ty,
         duplicate_free: node.set,
-        cannot_error: all_concrete,
+        cannot_error: pass.all_concrete,
         cost: node.cost,
         linearity: base_linearity(expr),
         lambda_affected: lambda_affected(expr),
+        max_bag_nesting: pass.max_bag_nesting,
+        strictly_unnested: pass.strictly_unnested,
+        power_nesting: node.power,
+        uses_powerbag: pass.uses_powerbag,
+        uses_ifp: pass.uses_ifp,
+        uses_order: pass.uses_order,
+        uses_dedup: pass.uses_dedup,
+        uses_subtract: pass.uses_subtract,
+        uses_powerset: pass.uses_powerset,
+        uses_nest: pass.uses_nest,
     })
 }
 
@@ -468,11 +589,13 @@ fn saturate(map: BTreeMap<Var, Linearity>) -> BTreeMap<Var, Linearity> {
 }
 
 /// Per-node result of the typed pass: output type, set-ness under the
-/// typed (arity-sharpened) lattice, and cost class.
+/// typed (arity-sharpened) lattice, cost class, and power nesting.
 struct Node {
     ty: Type,
     set: bool,
     cost: CostClass,
+    /// Maximal number of `P`/`P_b` on a path from this node to a leaf.
+    power: usize,
 }
 
 struct Pass<'a> {
@@ -482,12 +605,26 @@ struct Pass<'a> {
     /// Every type inferred so far (λ bindings included) is concrete —
     /// the precondition of the "cannot error" certificate.
     all_concrete: bool,
+    /// The fragment facts of [`Facts`], accumulated over every node.
+    max_bag_nesting: usize,
+    strictly_unnested: bool,
+    uses_powerbag: bool,
+    uses_ifp: bool,
+    uses_order: bool,
+    uses_dedup: bool,
+    uses_subtract: bool,
+    uses_powerset: bool,
+    uses_nest: bool,
 }
 
 impl Pass<'_> {
     fn observe(&mut self, ty: &Type) {
         if !ty.is_concrete() {
             self.all_concrete = false;
+        }
+        self.max_bag_nesting = self.max_bag_nesting.max(ty.bag_nesting());
+        if !ty.is_unnested() {
+            self.strictly_unnested = false;
         }
     }
 
@@ -505,6 +642,7 @@ impl Pass<'_> {
                         ty,
                         set,
                         cost: CostClass::Polynomial(1),
+                        power: 0,
                     },
                     None => {
                         let ty = self
@@ -517,6 +655,7 @@ impl Pass<'_> {
                             // Database bags carry arbitrary multiplicities.
                             set: false,
                             cost: CostClass::Polynomial(1),
+                            power: 0,
                         }
                     }
                 }
@@ -531,6 +670,7 @@ impl Pass<'_> {
                     ty,
                     set,
                     cost: CostClass::Polynomial(0),
+                    power: 0,
                 }
             }
             Expr::AdditiveUnion(a, b) => {
@@ -540,6 +680,7 @@ impl Pass<'_> {
                     ty,
                     set: false,
                     cost: na.cost.max(nb.cost),
+                    power: na.power.max(nb.power),
                 }
             }
             Expr::MaxUnion(a, b) => {
@@ -549,6 +690,7 @@ impl Pass<'_> {
                     ty,
                     set: na.set && nb.set,
                     cost: na.cost.max(nb.cost),
+                    power: na.power.max(nb.power),
                 }
             }
             Expr::Intersect(a, b) => {
@@ -558,29 +700,35 @@ impl Pass<'_> {
                     ty,
                     set: na.set || nb.set,
                     cost: na.cost.max(nb.cost),
+                    power: na.power.max(nb.power),
                 }
             }
             Expr::Subtract(a, b) => {
+                self.uses_subtract = true;
                 let (na, nb) = (self.infer(a)?, self.infer(b)?);
                 let ty = unify_bags(&na.ty, &nb.ty)?;
                 Node {
                     ty,
                     set: na.set,
                     cost: na.cost.max(nb.cost),
+                    power: na.power.max(nb.power),
                 }
             }
             Expr::Tuple(fields) => {
                 let mut tys = Vec::with_capacity(fields.len());
                 let mut cost = CostClass::Polynomial(0);
+                let mut power = 0;
                 for field in fields {
                     let node = self.infer(field)?;
                     tys.push(node.ty);
                     cost = cost.max(node.cost);
+                    power = power.max(node.power);
                 }
                 Node {
                     ty: Type::Tuple(tys),
                     set: true,
                     cost,
+                    power,
                 }
             }
             Expr::Singleton(e) => {
@@ -589,6 +737,7 @@ impl Pass<'_> {
                     ty: Type::bag(node.ty),
                     set: true,
                     cost: node.cost,
+                    power: node.power,
                 }
             }
             Expr::Product(a, b) => {
@@ -602,18 +751,22 @@ impl Pass<'_> {
                     ty: Type::bag(elem),
                     set: na.set && nb.set && arities_known,
                     cost: na.cost.add_degree(nb.cost),
+                    power: na.power.max(nb.power),
                 }
             }
             Expr::Powerset(e) => {
+                self.uses_powerset = true;
                 let node = self.infer(e)?;
                 require_bag(&node.ty)?;
                 Node {
                     ty: Type::bag(node.ty),
                     set: true,
                     cost: node.cost.powered(),
+                    power: node.power + 1,
                 }
             }
             Expr::Powerbag(e) => {
+                self.uses_powerbag = true;
                 let node = self.infer(e)?;
                 require_bag(&node.ty)?;
                 Node {
@@ -622,6 +775,7 @@ impl Pass<'_> {
                     // 2^|B| counting multiplicities (Definition 5.1):
                     // hyper-exponential in the representation size.
                     cost: CostClass::HyperExponential,
+                    power: node.power + 1,
                 }
             }
             Expr::Attr(e, index) => {
@@ -653,6 +807,7 @@ impl Pass<'_> {
                     ty,
                     set,
                     cost: node.cost,
+                    power: node.power,
                 }
             }
             Expr::Destroy(e) => {
@@ -670,6 +825,7 @@ impl Pass<'_> {
                     ty,
                     set: false,
                     cost: node.cost,
+                    power: node.power,
                 }
             }
             Expr::Map { var, body, input } => {
@@ -685,6 +841,7 @@ impl Pass<'_> {
                     ty: Type::bag(nbody.ty),
                     set: false,
                     cost: nin.cost.add_degree(nbody.cost),
+                    power: nin.power.max(nbody.power),
                 }
             }
             Expr::Select { var, pred, input } => {
@@ -692,34 +849,40 @@ impl Pass<'_> {
                 let elem = element_of(&nin.ty)?;
                 self.observe(&elem);
                 self.env.push((var.clone(), elem, false));
-                let pcost = self.infer_pred(pred);
+                let npred = self.infer_pred(pred);
                 self.env.pop();
-                let pcost = pcost?;
+                let (pcost, ppower) = npred?;
                 Node {
                     ty: nin.ty,
                     set: nin.set,
                     cost: nin.cost.add_degree(pcost),
+                    power: nin.power.max(ppower),
                 }
             }
             Expr::Dedup(e) => {
+                self.uses_dedup = true;
                 let node = self.infer(e)?;
                 require_bag(&node.ty)?;
                 Node {
                     ty: node.ty,
                     set: true,
                     cost: node.cost,
+                    power: node.power,
                 }
             }
             Expr::Nest { group, input } => {
+                self.uses_nest = true;
                 let node = self.infer(input)?;
                 let ty = nest_type(group, &node.ty)?;
                 Node {
                     ty,
                     set: true,
                     cost: node.cost,
+                    power: node.power,
                 }
             }
             Expr::Ifp { var, body, input } => {
+                self.uses_ifp = true;
                 let nin = self.infer(input)?;
                 require_bag(&nin.ty)?;
                 self.env.push((var.clone(), nin.ty.clone(), nin.set));
@@ -737,6 +900,7 @@ impl Pass<'_> {
                     set: nin.set && nbody.set,
                     // Multiplicities can double every iteration.
                     cost: CostClass::Exponential.max(nin.cost).max(nbody.cost),
+                    power: nin.power.max(nbody.power),
                 }
             }
         };
@@ -744,15 +908,19 @@ impl Pass<'_> {
         Ok(node)
     }
 
-    fn infer_pred(&mut self, pred: &Pred) -> Result<CostClass, AnalyzeError> {
+    /// A predicate's cost class and power nesting.
+    fn infer_pred(&mut self, pred: &Pred) -> Result<(CostClass, usize), AnalyzeError> {
         match pred {
-            Pred::True => Ok(CostClass::Polynomial(0)),
+            Pred::True => Ok((CostClass::Polynomial(0), 0)),
             Pred::Eq(a, b) | Pred::Lt(a, b) | Pred::Le(a, b) => {
+                if matches!(pred, Pred::Lt(_, _) | Pred::Le(_, _)) {
+                    self.uses_order = true;
+                }
                 let (na, nb) = (self.infer(a)?, self.infer(b)?);
                 if na.ty.unify(&nb.ty).is_none() {
                     return Err(TypeError::Incompatible(na.ty, nb.ty).into());
                 }
-                Ok(na.cost.max(nb.cost))
+                Ok((na.cost.max(nb.cost), na.power.max(nb.power)))
             }
             Pred::Member(a, b) => {
                 let (na, nb) = (self.infer(a)?, self.infer(b)?);
@@ -760,7 +928,7 @@ impl Pass<'_> {
                 if na.ty.unify(&elem).is_none() {
                     return Err(TypeError::Incompatible(na.ty, elem).into());
                 }
-                Ok(na.cost.max(nb.cost))
+                Ok((na.cost.max(nb.cost), na.power.max(nb.power)))
             }
             Pred::SubBag(a, b) => {
                 let (na, nb) = (self.infer(a)?, self.infer(b)?);
@@ -769,13 +937,13 @@ impl Pass<'_> {
                 if na.ty.unify(&nb.ty).is_none() {
                     return Err(TypeError::Incompatible(na.ty, nb.ty).into());
                 }
-                Ok(na.cost.max(nb.cost))
+                Ok((na.cost.max(nb.cost), na.power.max(nb.power)))
             }
             Pred::Not(p) => self.infer_pred(p),
             Pred::And(a, b) | Pred::Or(a, b) => {
-                let ca = self.infer_pred(a)?;
-                let cb = self.infer_pred(b)?;
-                Ok(ca.max(cb))
+                let (ca, pa) = self.infer_pred(a)?;
+                let (cb, pb) = self.infer_pred(b)?;
+                Ok((ca.max(cb), pa.max(pb)))
             }
         }
     }
@@ -1104,5 +1272,151 @@ mod tests {
         assert!(analyze(&tc, &s).unwrap().duplicate_free);
         let bag_seed = Expr::var("G").ifp("T", Expr::var("T"));
         assert!(!analyze(&bag_seed, &s).unwrap().duplicate_free);
+    }
+
+    #[test]
+    fn infer_flat_query_types() {
+        let q = Expr::var("G").project(&[2, 1]);
+        let facts = analyze(&q, &schema()).unwrap();
+        assert_eq!(facts.ty, Type::relation(2));
+        assert_eq!(facts.balg_level(), 1);
+        assert!(facts.in_balg(1));
+        assert!(facts.is_core_balg());
+    }
+
+    #[test]
+    fn product_concatenates_tuple_types() {
+        let q = Expr::var("G").product(Expr::var("G"));
+        assert_eq!(analyze(&q, &schema()).unwrap().ty, Type::relation(4));
+    }
+
+    #[test]
+    fn powerset_raises_level_and_power_nesting() {
+        let s = schema();
+        let q = Expr::var("G").powerset();
+        let facts = analyze(&q, &s).unwrap();
+        assert_eq!(facts.ty, Type::bag(Type::relation(2)));
+        assert_eq!(facts.max_bag_nesting, 2);
+        assert_eq!(facts.balg_level(), 2);
+        assert_eq!(facts.power_nesting, 1);
+        assert!(!facts.in_balg(1));
+        assert!(facts.in_balg(2));
+        // P(P(G)) has power nesting 2 and level 3.
+        let q2 = Expr::var("G").powerset().powerset();
+        let facts2 = analyze(&q2, &s).unwrap();
+        assert_eq!(facts2.power_nesting, 2);
+        assert_eq!(facts2.balg_level(), 3);
+    }
+
+    #[test]
+    fn destroy_lowers_nesting_in_type_but_not_in_facts() {
+        let q = Expr::var("G").powerset().destroy();
+        let facts = analyze(&q, &schema()).unwrap();
+        assert_eq!(facts.ty, Type::relation(2));
+        // The intermediate P(G) : ⟦⟦[U,U]⟧⟧ pushes the level to 2 even
+        // though the output is flat — this is the "increase of nesting is
+        // essential" point after Proposition 3.1.
+        assert_eq!(facts.max_bag_nesting, 2);
+        assert_eq!(facts.balg_level(), 2);
+    }
+
+    #[test]
+    fn delta_on_flat_bag_rejected() {
+        let q = Expr::var("G").destroy();
+        assert!(matches!(
+            analyze(&q, &schema()),
+            Err(AnalyzeError::Type(TypeError::DestroyNeedsNestedBag(_)))
+        ));
+    }
+
+    #[test]
+    fn delta_on_unknown_bag_accepted() {
+        // The elements of an empty literal have unknown type, so δ over
+        // one of them may succeed at runtime: accepted, result unknown.
+        let q = Expr::empty_bag().map("x", Expr::var("x").destroy());
+        let facts = analyze(&q, &schema()).unwrap();
+        assert_eq!(facts.ty, Type::bag(Type::bag(Type::Unknown)));
+        assert!(!facts.cannot_error);
+    }
+
+    #[test]
+    fn map_binds_element_type() {
+        let q = Expr::var("G").map("x", Expr::var("x").attr(1).singleton());
+        let facts = analyze(&q, &schema()).unwrap();
+        assert_eq!(facts.ty, Type::bag(Type::bag(Type::Atom)));
+        assert_eq!(facts.balg_level(), 2);
+    }
+
+    #[test]
+    fn select_pred_type_mismatch_detected() {
+        // comparing a tuple attribute (atom) with the whole bag G
+        let q = Expr::var("G").select("x", Pred::eq(Expr::var("x").attr(1), Expr::var("G")));
+        assert!(matches!(
+            analyze(&q, &schema()),
+            Err(AnalyzeError::Type(TypeError::Incompatible(_, _)))
+        ));
+    }
+
+    #[test]
+    fn attribute_errors() {
+        let q = Expr::var("G").map("x", Expr::var("x").attr(3));
+        assert!(matches!(
+            analyze(&q, &schema()),
+            Err(AnalyzeError::Type(TypeError::BadAttribute { index: 3, .. }))
+        ));
+    }
+
+    #[test]
+    fn extension_flags() {
+        let s = schema();
+        let pb = Expr::var("G").powerbag();
+        let facts = analyze(&pb, &s).unwrap();
+        assert!(facts.uses_powerbag);
+        assert!(!facts.is_core_balg());
+
+        let ifp = Expr::var("G").ifp("T", Expr::var("T"));
+        assert!(analyze(&ifp, &s).unwrap().uses_ifp);
+
+        let ord = Expr::var("G").select(
+            "x",
+            Pred::lt(Expr::var("x").attr(1), Expr::var("x").attr(2)),
+        );
+        assert!(analyze(&ord, &s).unwrap().uses_order);
+
+        let frag = Expr::var("G").subtract(Expr::var("G")).dedup();
+        let facts = analyze(&frag, &s).unwrap();
+        assert!(facts.uses_subtract && facts.uses_dedup);
+    }
+
+    #[test]
+    fn strictly_unnested_discipline() {
+        // A tuple holding a bag has nesting 1 but is NOT a BALG¹ type.
+        let q = Expr::var("G").map(
+            "x",
+            Expr::tuple([Expr::var("x").attr(1), Expr::var("x").singleton()]),
+        );
+        let facts = analyze(&q, &schema()).unwrap();
+        assert!(!facts.strictly_unnested);
+        assert!(facts.balg_level() >= 2);
+    }
+
+    #[test]
+    fn empty_bag_literal_unifies() {
+        let q = Expr::var("G").additive_union(Expr::empty_bag());
+        assert_eq!(analyze(&q, &schema()).unwrap().ty, Type::relation(2));
+    }
+
+    #[test]
+    fn unbound_variable_reported() {
+        assert!(matches!(
+            analyze(&Expr::var("R"), &Schema::new()),
+            Err(AnalyzeError::Type(TypeError::UnboundVariable(_)))
+        ));
+    }
+
+    #[test]
+    fn literal_types() {
+        let lit = Expr::lit(Value::bag([Value::tuple([Value::sym("a")])]));
+        assert_eq!(analyze(&lit, &Schema::new()).unwrap().ty, Type::relation(1));
     }
 }

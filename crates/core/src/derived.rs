@@ -235,10 +235,10 @@ pub fn member(o: Value, b: Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::analyze;
     use crate::eval::{eval_bag, EvalError};
     use crate::schema::Database;
     use crate::schema::Schema;
-    use crate::typecheck::check;
     use crate::types::Type;
 
     fn nat(v: u64) -> Natural {
@@ -303,12 +303,12 @@ mod tests {
     #[test]
     fn average_lives_in_balg2() {
         let schema = Schema::new().with("B", Type::bag(Type::relation(1)));
-        let analysis = check(&average(Expr::var("B")), &schema).unwrap();
-        assert!(analysis.is_core_balg());
+        let facts = analyze(&average(Expr::var("B")), &schema).unwrap();
+        assert!(facts.is_core_balg());
         // Input ⟦⟦[a]⟧⟧ has nesting 2; the P(δ(B)) intermediate stays at 2:
         // aggregates are exactly BALG² queries (Section 5).
-        assert_eq!(analysis.balg_level(), 2);
-        assert!(analysis.uses_powerset);
+        assert_eq!(facts.balg_level(), 2);
+        assert!(facts.uses_powerset);
     }
 
     #[test]
@@ -397,9 +397,9 @@ mod tests {
     #[test]
     fn parity_query_uses_order_flag() {
         let schema = Schema::new().with("R", Type::relation(1));
-        let analysis = check(&parity_even_ordered(Expr::var("R")), &schema).unwrap();
-        assert!(analysis.uses_order);
-        assert_eq!(analysis.balg_level(), 1);
+        let facts = analyze(&parity_even_ordered(Expr::var("R")), &schema).unwrap();
+        assert!(facts.uses_order);
+        assert_eq!(facts.balg_level(), 1);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 
 use std::collections::BTreeSet;
 
+use crate::analyze::analyze;
 use crate::bag::Bag;
 use crate::eval::{Evaluator, Limits};
 use crate::expr::{Expr, Pred, Var};
 use crate::schema::{Database, Schema};
-use crate::typecheck::infer_type;
 use crate::types::Type;
 use crate::value::Value;
 
@@ -615,7 +615,7 @@ fn collect_usage(expr: &Expr, var: &Var, indices: &mut BTreeSet<usize>, ok: &mut
 
 /// Arity of a bag-of-tuples expression under the schema, if derivable.
 fn arity_of(expr: &Expr, schema: &Schema) -> Option<usize> {
-    match infer_type(expr, schema).ok()? {
+    match analyze(expr, schema).ok()?.ty {
         Type::Bag(inner) => match *inner {
             Type::Tuple(fields) => Some(fields.len()),
             _ => None,

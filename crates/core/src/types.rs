@@ -13,7 +13,7 @@ use std::fmt;
 ///
 /// [`Type::Unknown`] is not part of the paper's type system; it is the type
 /// of a literal empty bag's element, and unifies with everything. The static
-/// type checker only produces `Unknown` under a `Bag` node of an empty bag
+/// analyzer only produces `Unknown` under a `Bag` node of an empty bag
 /// literal.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]

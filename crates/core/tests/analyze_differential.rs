@@ -12,7 +12,11 @@
 //!   (step / element / multiplicity / fixpoint limit, or a predicted
 //!   `TooLarge`), never a shape error;
 //! - a **set-ness** certificate (`duplicate_free`) means every
-//!   multiplicity in the output bag is exactly one.
+//!   multiplicity in the output bag is exactly one;
+//! - the **cost class** and the **power nesting**, computed side by side
+//!   in the same pass, must agree: the cost is polynomial exactly when no
+//!   `P`/`P_b` and no `IFP` occur, and a power operator lifts the BALG
+//!   level to at least 2.
 //!
 //! Analyzer *rejections* assert nothing — the analyzer is deliberately
 //! conservative (a doomed λ body over a bag that happens to be empty
@@ -20,7 +24,7 @@
 //! certificates are checked against the incremental engine's counters in
 //! `balg-incremental`'s `linearity_differential` suite instead.
 
-use balg_core::analyze::{analyze, Facts};
+use balg_core::analyze::{analyze, CostClass, Facts};
 use balg_core::bag::{Bag, BagError};
 use balg_core::eval::{EvalError, Evaluator, Limits};
 use balg_core::expr::{Expr, Pred};
@@ -277,6 +281,20 @@ proptest! {
     ) {
         let expr = Gen::new(seed).expr(depth, arity);
         if let Ok(facts) = analyze(&expr, &schema()) {
+            assert_eq!(
+                matches!(facts.cost, CostClass::Polynomial(_)),
+                facts.power_nesting == 0 && !facts.uses_ifp,
+                "cost {} disagrees with power nesting {} (IFP: {}) for {expr}",
+                facts.cost,
+                facts.power_nesting,
+                facts.uses_ifp
+            );
+            assert!(
+                facts.power_nesting == 0 || facts.balg_level() >= 2,
+                "power nesting {} at BALG level {} for {expr}",
+                facts.power_nesting,
+                facts.balg_level()
+            );
             check_case(&expr, &facts, &db);
         }
     }

@@ -33,25 +33,25 @@ fn nest_groups_with_multiplicities() {
 #[test]
 fn nest_type_checks_and_is_flagged_extension() {
     let schema = Schema::new().with("R", Type::relation(2));
-    let analysis = check(&Expr::var("R").nest(&[1]), &schema).unwrap();
+    let facts = analyze(&Expr::var("R").nest(&[1]), &schema).unwrap();
     assert_eq!(
-        analysis.ty,
+        facts.ty,
         Type::bag(Type::Tuple(vec![
             Type::Atom,
             Type::bag(Type::Tuple(vec![Type::Atom]))
         ]))
     );
-    assert!(analysis.uses_nest);
-    assert!(!analysis.is_core_balg());
+    assert!(facts.uses_nest);
+    assert!(!facts.is_core_balg());
     // Nesting raises the type's bag nesting — the conservativity question
     // the Conclusion discusses.
-    assert_eq!(analysis.max_bag_nesting, 2);
+    assert_eq!(facts.max_bag_nesting, 2);
 }
 
 #[test]
 fn nest_rejects_bad_attributes() {
     let schema = Schema::new().with("R", Type::relation(2));
-    assert!(check(&Expr::var("R").nest(&[3]), &schema).is_err());
+    assert!(analyze(&Expr::var("R").nest(&[3]), &schema).is_err());
     let db = Database::new().with("R", Bag::singleton(edge("a", "b")));
     assert!(eval(&Expr::var("R").nest(&[3]), &db).is_err());
 }

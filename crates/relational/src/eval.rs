@@ -1,31 +1,21 @@
-//! Direct set-semantics evaluation of RALG expressions.
+//! Direct set-semantics evaluation of RALG expressions — the plain
+//! reference the Proposition 4.2 checks compare the bag side against.
 //!
-//! Every operator re-establishes the set invariant, so intermediate
-//! results are nested *sets* exactly as in \[AB87\]/\[HS91\]. Budgets reuse
-//! [`balg_core::eval::Limits`].
-//!
-//! The evaluator mirrors the throughput work done on the BALG side:
-//!
-//! * database bags are deduplicated into their `DB′` views **once** per
-//!   name and cached (cloning a cached view is an `Arc` bump);
-//! * every value the evaluator itself produces is set-shaped by
-//!   construction, so intermediates are re-wrapped without the deep
-//!   re-deduplication the old evaluator paid after every operator;
-//! * adjacent `MAP`/`σ` stages stream each element through the whole
-//!   chain in one pass, `MAP` directly over a product streams the pairs
-//!   without materializing the product, and `σ_{αᵢ=αⱼ}(e × e′)` with the
-//!   equality crossing the product boundary evaluates as a hash join.
+//! Every operator evaluates its operands and applies the matching
+//! [`Relation`] operation; `MAP` and `σ` iterate their input relation with
+//! the λ variable bound. Intermediate results are therefore nested *sets*
+//! exactly as in \[AB87\]/\[HS91\]. Budgets reuse
+//! [`balg_core::eval::Limits`]. The one shortcut is the `DB′` memo:
+//! each database bag is deeply deduplicated once per name, and later
+//! lookups clone the cached view.
 
 use std::collections::HashMap;
 
-use balg_core::bag::{attr_field, Bag, BagBuilder, BagError};
+use balg_core::bag::{attr_field, Bag};
 use balg_core::eval::{EvalError, Limits};
 use balg_core::expr::Var;
-use balg_core::index::{BagIndex, IndexCache};
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::{par, pool};
-use std::sync::Arc;
 
 use crate::expr::{RalgExpr, RalgPred};
 use crate::relation::Relation;
@@ -38,51 +28,8 @@ pub struct RalgEvaluator<'a> {
     limits: Limits,
     env: Vec<(Var, Value)>,
     steps_left: u64,
-    /// Deduplicated `DB′` views, computed once per database name. The old
-    /// evaluator re-ran the deep dedup on every variable lookup.
+    /// Deduplicated `DB′` views, computed once per database name.
     db_views: HashMap<Var, Value>,
-    /// Per-key join indexes over operand relations, shared with the BALG
-    /// side's [`IndexCache`] machinery; entries pin the slice they
-    /// describe, so repeated joins against a cached `DB′` view probe
-    /// instead of rebuilding a hash table.
-    indexes: IndexCache,
-    /// Whether the indexed join path may run (the differential suites
-    /// flip this to prove it equivalent to the scan path).
-    use_indexes: bool,
-    /// Partitioned-execution settings, mirroring the BALG evaluator:
-    /// partition counts are a pure function of `par.chunks`, so every
-    /// setting computes the same relations, errors, and step charges.
-    par: par::Parallel,
-}
-
-/// Always-on per-evaluation counters for the RALG baseline, resolved
-/// lazily from the installed [`balg_obs`] registry (recorded once per
-/// top-level [`RalgEvaluator::eval`], like the BALG side).
-struct RalgObs {
-    total: balg_obs::Counter,
-    errors: balg_obs::Counter,
-    duration: balg_obs::Histogram,
-}
-
-static RALG_OBS: std::sync::OnceLock<RalgObs> = std::sync::OnceLock::new();
-
-fn ralg_obs() -> Option<&'static RalgObs> {
-    if let Some(obs) = RALG_OBS.get() {
-        return Some(obs);
-    }
-    let registry = balg_obs::global()?;
-    let _ = RALG_OBS.set(RalgObs {
-        total: registry.counter("balg_ralg_eval_total", "Top-level RALG evaluations"),
-        errors: registry.counter(
-            "balg_ralg_eval_errors_total",
-            "Top-level RALG evaluations that returned an error",
-        ),
-        duration: registry.histogram(
-            "balg_ralg_eval_duration_ns",
-            "Wall time per top-level RALG evaluation",
-        ),
-    });
-    RALG_OBS.get()
 }
 
 impl<'a> RalgEvaluator<'a> {
@@ -95,57 +42,13 @@ impl<'a> RalgEvaluator<'a> {
             env: Vec::new(),
             steps_left,
             db_views: HashMap::new(),
-            indexes: IndexCache::new(),
-            use_indexes: true,
-            par: par::Parallel::from_global(),
         }
-    }
-
-    /// Enable or disable the indexed join fast path; both settings
-    /// compute the same relations. Disabling drops any cached indexes.
-    pub fn set_indexing(&mut self, enabled: bool) {
-        self.use_indexes = enabled;
-        if !enabled {
-            self.indexes.clear();
-        }
-    }
-
-    /// Enable or disable partitioned parallel execution (see
-    /// [`balg_core::eval::Evaluator::set_parallel`]); both settings
-    /// compute the same relations with the same step charges.
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.par.chunks = if enabled {
-            pool::default_parallelism()
-        } else {
-            1
-        };
-    }
-
-    /// Pin the partition count directly (`<= 1` disables).
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.par.chunks = n.max(1);
-    }
-
-    /// Override the minimum work size before operators partition.
-    pub fn set_parallel_threshold(&mut self, n: usize) {
-        self.par.threshold = n;
     }
 
     /// Evaluate a closed expression.
     pub fn eval(&mut self, expr: &RalgExpr) -> Result<Value, EvalError> {
         debug_assert!(self.env.is_empty());
-        let Some(obs) = ralg_obs() else {
-            return self.eval_inner(expr);
-        };
-        let start = std::time::Instant::now();
-        let result = self.eval_inner(expr);
-        obs.total.inc();
-        if result.is_err() {
-            obs.errors.inc();
-        }
-        obs.duration
-            .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        result
+        self.eval_inner(expr)
     }
 
     /// Evaluate, requiring a relation result.
@@ -154,13 +57,7 @@ impl<'a> RalgEvaluator<'a> {
     }
 
     fn step(&mut self) -> Result<(), EvalError> {
-        self.charge_steps(1)
-    }
-
-    /// Charge `n` steps at once (the committed partitioned probe charges
-    /// its exact pair total in one call, like the serial per-pair loop).
-    fn charge_steps(&mut self, n: u64) -> Result<(), EvalError> {
-        match self.steps_left.checked_sub(n) {
+        match self.steps_left.checked_sub(1) {
             Some(rest) => {
                 self.steps_left = rest;
                 Ok(())
@@ -178,16 +75,6 @@ impl<'a> RalgEvaluator<'a> {
             });
         }
         Ok(())
-    }
-
-    /// Incremental distinct-element guard for the streaming loops.
-    fn check_builder_limit(&self, builder: &mut BagBuilder) -> Result<(), EvalError> {
-        builder
-            .ensure_distinct_within(self.limits.max_bag_elements)
-            .map_err(|observed| EvalError::ElementLimit {
-                observed,
-                limit: self.limits.max_bag_elements,
-            })
     }
 
     fn lookup(&mut self, name: &Var) -> Result<Value, EvalError> {
@@ -208,19 +95,41 @@ impl<'a> RalgEvaluator<'a> {
         Ok(view)
     }
 
+    /// Run `f` with `var` bound to `value` in the λ environment.
+    fn with_bound<T>(
+        &mut self,
+        var: &Var,
+        value: &Value,
+        f: impl FnOnce(&mut Self) -> Result<T, EvalError>,
+    ) -> Result<T, EvalError> {
+        self.env.push((var.clone(), value.clone()));
+        let out = f(self);
+        self.env.pop();
+        out
+    }
+
     fn eval_inner(&mut self, expr: &RalgExpr) -> Result<Value, EvalError> {
         self.step()?;
         match expr {
             RalgExpr::Var(name) => self.lookup(name),
             RalgExpr::Lit(value) => Ok(crate::relation::deep_dedup(value)),
-            RalgExpr::Union(a, b) => self.eval_binary(a, b, |x, y| Ok(x.union(y))),
-            RalgExpr::Intersect(a, b) => self.eval_binary(a, b, |x, y| Ok(x.intersect(y))),
-            RalgExpr::Difference(a, b) => self.eval_binary(a, b, |x, y| Ok(x.difference(y))),
-            RalgExpr::Product(a, b) => match self.eval_product(a, b, None)? {
-                ProductOutcome::Joined(rel) | ProductOutcome::Materialized(rel) => {
-                    Ok(rel.to_value())
+            RalgExpr::Union(a, b) => self.eval_binary(a, b, Relation::union),
+            RalgExpr::Intersect(a, b) => self.eval_binary(a, b, Relation::intersect),
+            RalgExpr::Difference(a, b) => self.eval_binary(a, b, Relation::difference),
+            RalgExpr::Product(a, b) => {
+                let left = expect_relation(self.eval_inner(a)?)?;
+                let right = expect_relation(self.eval_inner(b)?)?;
+                // Distinct counts multiply: refuse before materializing.
+                let predicted = left.len() as u128 * right.len() as u128;
+                if predicted > u128::from(self.limits.max_bag_elements) {
+                    return Err(EvalError::ElementLimit {
+                        observed: u64::try_from(predicted).unwrap_or(u64::MAX),
+                        limit: self.limits.max_bag_elements,
+                    });
                 }
-            },
+                let out = left.product(&right, self.limits.max_bag_elements)?;
+                Ok(out.to_value())
+            }
             RalgExpr::Powerset(e) => {
                 let rel = expect_relation(self.eval_inner(e)?)?;
                 let out = rel.powerset(self.limits.max_bag_elements)?;
@@ -238,7 +147,7 @@ impl<'a> RalgEvaluator<'a> {
                 let value = self.eval_inner(e)?;
                 // The operand is already set-shaped; a singleton of it is
                 // too (no re-dedup needed).
-                Ok(Value::Bag(balg_core::bag::Bag::singleton(value)))
+                Ok(Value::Bag(Bag::singleton(value)))
             }
             RalgExpr::Attr(e, index) => {
                 let value = self.eval_inner(e)?;
@@ -258,251 +167,30 @@ impl<'a> RalgEvaluator<'a> {
                 self.check_size(&out)?;
                 Ok(out.to_value())
             }
-            RalgExpr::Map { .. } | RalgExpr::Select { .. } => self.eval_stage_chain(expr),
-        }
-    }
-
-    /// Fused evaluation of a `MAP`/`σ` spine, mirroring the BALG
-    /// evaluator: each element streams through every stage in one pass and
-    /// only the chain's final relation is materialized. A `MAP` directly
-    /// over a product streams the concatenated pairs; a join-shaped `σ`
-    /// directly over a product becomes a hash join.
-    ///
-    /// Entered from [`RalgEvaluator::eval_inner`], which has already
-    /// charged the step for the outermost spine node.
-    fn eval_stage_chain(&mut self, expr: &RalgExpr) -> Result<Value, EvalError> {
-        let mut stages: Vec<Stage<'_>> = Vec::new();
-        let mut cur = expr;
-        loop {
-            match cur {
-                RalgExpr::Map { var, body, input } => {
-                    stages.push(Stage::Map { var, body });
-                    cur = input;
-                }
-                RalgExpr::Select { var, pred, input } => {
-                    stages.push(Stage::Filter { var, pred });
-                    cur = input;
-                }
-                _ => break,
+            RalgExpr::Map { var, body, input } => {
+                let rel = expect_relation(self.eval_inner(input)?)?;
+                let out = rel.map(|value| self.with_bound(var, value, |ev| ev.eval_inner(body)))?;
+                self.check_size(&out)?;
+                Ok(out.to_value())
+            }
+            RalgExpr::Select { var, pred, input } => {
+                let rel = expect_relation(self.eval_inner(input)?)?;
+                let out =
+                    rel.select(|value| self.with_bound(var, value, |ev| ev.eval_pred(pred)))?;
+                Ok(out.to_value())
             }
         }
-        stages.reverse();
-        for _ in 1..stages.len() {
-            self.step()?; // the inner spine nodes the fusion skips
-        }
-
-        let mut first_stage = 0;
-        let base = match (cur, stages.first()) {
-            (RalgExpr::Product(a, b), Some(Stage::Filter { var, pred }))
-                if equi_join_attrs(pred, var).is_some() =>
-            {
-                let (i, j) = equi_join_attrs(pred, var).expect("just matched");
-                self.step()?; // the Product node, as eval_inner would charge it
-                match self.eval_product(a, b, Some((i, j)))? {
-                    ProductOutcome::Joined(rel) => {
-                        first_stage = 1; // the filter became the join
-                        ChainBase::Rel(rel)
-                    }
-                    ProductOutcome::Materialized(rel) => ChainBase::Rel(rel),
-                }
-            }
-            (RalgExpr::Product(a, b), Some(Stage::Map { .. })) => {
-                self.step()?; // the Product node
-                let left = expect_relation(self.eval_inner(a)?)?;
-                let right = expect_relation(self.eval_inner(b)?)?;
-                ChainBase::Pairs(left, right)
-            }
-            _ => ChainBase::Rel(expect_relation(self.eval_inner(cur)?)?),
-        };
-        let stages = &stages[first_stage..];
-        if stages.is_empty() {
-            // The hash join consumed the only stage: its relation is the
-            // chain's result, no re-streaming needed.
-            if let ChainBase::Rel(rel) = base {
-                self.check_size(&rel)?;
-                return Ok(rel.to_value());
-            }
-        }
-
-        let mut out = BagBuilder::new();
-        match &base {
-            ChainBase::Rel(rel) => {
-                for value in rel.iter() {
-                    self.run_stages(value.clone(), stages, &mut out)?;
-                }
-            }
-            ChainBase::Pairs(left, right) => {
-                for lv in left.iter() {
-                    let left_fields = lv
-                        .as_tuple()
-                        .ok_or_else(|| BagError::NotATuple(lv.clone()))?;
-                    for rv in right.iter() {
-                        let right_fields = rv
-                            .as_tuple()
-                            .ok_or_else(|| BagError::NotATuple(rv.clone()))?;
-                        self.run_stages(
-                            Value::concat_tuples(left_fields, right_fields),
-                            stages,
-                            &mut out,
-                        )?;
-                    }
-                }
-            }
-        }
-        // Stage outputs are set-shaped values, so clamping the collected
-        // multiplicities restores the set invariant without a deep pass.
-        let rel = Relation::from_set_bag_unchecked(out.build_set());
-        self.check_size(&rel)?;
-        Ok(rel.to_value())
-    }
-
-    /// Push one element through every stage; survivors land in `out`.
-    fn run_stages(
-        &mut self,
-        value: Value,
-        stages: &[Stage<'_>],
-        out: &mut BagBuilder,
-    ) -> Result<(), EvalError> {
-        let mut current = value;
-        for stage in stages {
-            match stage {
-                Stage::Map { var, body } => {
-                    self.env.push(((*var).clone(), current));
-                    let image = self.eval_inner(body);
-                    self.env.pop();
-                    current = image?;
-                }
-                Stage::Filter { var, pred } => {
-                    self.env.push(((*var).clone(), current));
-                    let keep = self.eval_pred(pred);
-                    let (_, value_back) = self.env.pop().expect("balanced λ environment");
-                    if !keep? {
-                        return Ok(());
-                    }
-                    current = value_back;
-                }
-            }
-        }
-        out.push_one(current);
-        self.check_builder_limit(out)
-    }
-
-    /// Evaluate `a × b`, optionally under an equi-join filter `αᵢ = αⱼ`
-    /// crossing the product boundary. With the shape guards satisfied
-    /// (all tuples, uniform arity per side) the matching pairs come from
-    /// a hash index on the left side and the product is never built;
-    /// otherwise the materializing path runs and the caller must still
-    /// apply the filter.
-    fn eval_product(
-        &mut self,
-        a: &RalgExpr,
-        b: &RalgExpr,
-        join_attrs: Option<(usize, usize)>,
-    ) -> Result<ProductOutcome, EvalError> {
-        let left = expect_relation(self.eval_inner(a)?)?;
-        let right = expect_relation(self.eval_inner(b)?)?;
-
-        if let Some((i, j)) = join_attrs {
-            if let (Some(left_arity), Some(right_arity)) =
-                (uniform_arity(&left), uniform_arity(&right))
-            {
-                let spans_boundary =
-                    i >= 1 && i <= left_arity && j > left_arity && j <= left_arity + right_arity;
-                if spans_boundary {
-                    let jr = j - left_arity;
-                    // Cached per-key index on the left operand: repeated
-                    // joins against the same `DB′` view (or the same
-                    // subquery result representation) probe instead of
-                    // rebuilding the hash table per query.
-                    if self.use_indexes {
-                        if let Some(cached) = self.indexes.get_or_build(left.as_bag(), i) {
-                            // Optimistic partitioned probe, mirroring the
-                            // BALG evaluator: commit only when the pair
-                            // total fits both remaining budgets; overflow
-                            // re-runs the serial loop below for the exact
-                            // serial error payload.
-                            if self.par.enabled() && right.len() >= self.par.threshold {
-                                let budget = self.steps_left.min(self.limits.max_bag_elements);
-                                if let Some((out, pairs)) = par_probe_join_set(
-                                    &cached,
-                                    right.as_bag(),
-                                    jr,
-                                    self.par.chunks,
-                                    budget,
-                                ) {
-                                    self.charge_steps(pairs)
-                                        .expect("pair count bounded by remaining steps");
-                                    let rel = Relation::from_set_bag_unchecked(out);
-                                    return Ok(ProductOutcome::Joined(rel));
-                                }
-                            }
-                            let mut out = BagBuilder::new();
-                            for rv in right.iter() {
-                                let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                                for (lv, _) in cached.group(&right_fields[jr - 1]) {
-                                    self.step()?; // one per surviving pair, like the filter
-                                    let left_fields =
-                                        lv.as_tuple().expect("indexed rows are tuples");
-                                    out.push_one(Value::concat_tuples(left_fields, right_fields));
-                                    self.check_builder_limit(&mut out)?;
-                                }
-                            }
-                            let rel = Relation::from_set_bag_unchecked(out.build_set());
-                            return Ok(ProductOutcome::Joined(rel));
-                        }
-                    }
-                    let mut index: HashMap<&Value, Vec<&Value>> = HashMap::new();
-                    for lv in left.iter() {
-                        let fields = lv.as_tuple().expect("checked by uniform_arity");
-                        index.entry(&fields[i - 1]).or_default().push(lv);
-                    }
-                    let mut out = BagBuilder::new();
-                    for rv in right.iter() {
-                        let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                        let Some(matches) = index.get(&right_fields[jr - 1]) else {
-                            continue;
-                        };
-                        for lv in matches {
-                            self.step()?; // one per surviving pair, like the filter
-                            let left_fields = lv.as_tuple().expect("checked by uniform_arity");
-                            out.push_one(Value::concat_tuples(left_fields, right_fields));
-                            self.check_builder_limit(&mut out)?;
-                        }
-                    }
-                    let rel = Relation::from_set_bag_unchecked(out.build_set());
-                    return Ok(ProductOutcome::Joined(rel));
-                }
-            }
-        }
-
-        let predicted = left.len() as u128 * right.len() as u128;
-        let out = if self.par.enabled() && predicted >= self.par.threshold as u128 {
-            // `Relation::product` is bag product + dedup; the partitioned
-            // kernel computes the identical bag (and identical errors).
-            let bag = par::product(
-                left.as_bag(),
-                right.as_bag(),
-                self.limits.max_bag_elements,
-                self.par.chunks,
-            )?
-            .dedup();
-            Relation::from_set_bag_unchecked(bag)
-        } else {
-            left.product(&right, self.limits.max_bag_elements)?
-        };
-        self.check_size(&out)?;
-        Ok(ProductOutcome::Materialized(out))
     }
 
     fn eval_binary(
         &mut self,
         a: &RalgExpr,
         b: &RalgExpr,
-        op: impl FnOnce(&Relation, &Relation) -> Result<Relation, BagError>,
+        op: impl FnOnce(&Relation, &Relation) -> Relation,
     ) -> Result<Value, EvalError> {
         let left = expect_relation(self.eval_inner(a)?)?;
         let right = expect_relation(self.eval_inner(b)?)?;
-        let out = op(&left, &right)?;
+        let out = op(&left, &right);
         self.check_size(&out)?;
         Ok(out.to_value())
     }
@@ -527,140 +215,6 @@ impl<'a> RalgEvaluator<'a> {
             RalgPred::Or(a, b) => Ok(self.eval_pred(a)? || self.eval_pred(b)?),
         }
     }
-}
-
-/// One node of a `MAP`/`σ` spine, borrowed from the expression tree.
-enum Stage<'e> {
-    Map { var: &'e Var, body: &'e RalgExpr },
-    Filter { var: &'e Var, pred: &'e RalgPred },
-}
-
-/// A probe-join chunk job: `Some((chunk output, pairs emitted))`, or
-/// `None` when the shared budget counter tripped.
-type ProbeJoinJob = Box<dyn FnOnce() -> Option<(Bag, u64)> + Send>;
-
-/// Optimistic chunk-parallel probe of a cached join index, set semantics.
-///
-/// The right (probe) relation's rows are split into `chunks` contiguous
-/// ranges; each runs infallibly with a local builder while a shared atomic
-/// tracks the global surviving-pair count against `budget`. `None` on
-/// overflow (nothing charged — the serial loop reproduces the exact
-/// error); on success the chunk sets are disjoint (distinct rows on both
-/// sides, uniform left arity), so their additive union equals the serial
-/// `build_set` output.
-fn par_probe_join_set(
-    index: &Arc<BagIndex>,
-    probe: &Bag,
-    jr: usize,
-    chunks: usize,
-    budget: u64,
-) -> Option<(Bag, u64)> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let n = probe.distinct_count();
-    let counter = Arc::new(AtomicU64::new(0));
-    let mut jobs: Vec<ProbeJoinJob> = Vec::with_capacity(chunks);
-    let mut row = 0usize;
-    for k in 1..=chunks {
-        let end = n * k / chunks;
-        if end <= row {
-            continue;
-        }
-        let probe = probe.clone();
-        let index = Arc::clone(index);
-        let counter = Arc::clone(&counter);
-        let (lo, hi) = (row, end);
-        jobs.push(Box::new(move || {
-            let mut out = BagBuilder::new();
-            let mut pairs = 0u64;
-            for (rv, _) in &probe.pairs()[lo..hi] {
-                let right_fields = rv.as_tuple().expect("checked by uniform_arity");
-                let group = index.group(&right_fields[jr - 1]);
-                if group.is_empty() {
-                    continue;
-                }
-                let g = group.len() as u64;
-                let before = counter.fetch_add(g, Ordering::Relaxed);
-                if before.saturating_add(g) > budget {
-                    return None;
-                }
-                pairs += g;
-                for (lv, _) in group {
-                    let left_fields = lv.as_tuple().expect("indexed rows are tuples");
-                    out.push_one(Value::concat_tuples(left_fields, right_fields));
-                }
-            }
-            Some((out.build_set(), pairs))
-        }));
-        row = end;
-    }
-    if jobs.len() <= 1 {
-        return None;
-    }
-    par::note_partitioned(jobs.len());
-    let parts = pool::global().run(jobs);
-    let mut total = 0u64;
-    let mut merged = Bag::new();
-    for part in parts {
-        let Some((bag, pairs)) = part else {
-            par::note_serial_fallback();
-            return None;
-        };
-        total += pairs;
-        merged = merged.additive_union(&bag);
-    }
-    Some((merged, total))
-}
-
-/// What a stage chain streams over: an evaluated relation, or the
-/// unmaterialized pairs of a product feeding a `MAP` stage.
-enum ChainBase {
-    Rel(Relation),
-    Pairs(Relation, Relation),
-}
-
-/// How [`RalgEvaluator::eval_product`] produced its relation.
-enum ProductOutcome {
-    /// Hash join: the equi-join filter is already applied.
-    Joined(Relation),
-    /// Full Cartesian product: any filter still needs to run.
-    Materialized(Relation),
-}
-
-/// Recognize `αᵢ(x) = αⱼ(x)` over the σ-bound variable `x` with `i ≠ j`,
-/// normalized to `i < j`.
-fn equi_join_attrs(pred: &RalgPred, var: &Var) -> Option<(usize, usize)> {
-    let attr_of = |e: &RalgExpr| match e {
-        RalgExpr::Attr(inner, ix) => match inner.as_ref() {
-            RalgExpr::Var(name) if name == var => Some(*ix),
-            _ => None,
-        },
-        _ => None,
-    };
-    match pred {
-        RalgPred::Eq(a, b) => {
-            let (i, j) = (attr_of(a)?, attr_of(b)?);
-            if i == j {
-                None // trivially true on every tuple — not a join
-            } else {
-                Some((i.min(j), i.max(j)))
-            }
-        }
-        _ => None,
-    }
-}
-
-/// `Some(arity)` iff every element is a tuple of the same arity.
-fn uniform_arity(rel: &Relation) -> Option<usize> {
-    let mut arity = None;
-    for value in rel.iter() {
-        let len = value.as_tuple()?.len();
-        match arity {
-            None => arity = Some(len),
-            Some(a) if a == len => {}
-            Some(_) => return None,
-        }
-    }
-    arity
 }
 
 /// Re-wrap an evaluator-produced value as a relation. The evaluator only
@@ -690,7 +244,7 @@ pub fn eval_relation(expr: &RalgExpr, db: &Database) -> Result<Relation, EvalErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use balg_core::bag::Bag;
+    use balg_core::bag::BagError;
     use balg_core::natural::Natural;
 
     fn unary(elems: &[&str]) -> Bag {
@@ -778,9 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn fused_join_matches_materialized_select() {
-        // σ_{α₂=α₃}(G×G) through the hash join vs the same query shaped so
-        // the join fusion cannot fire (filter not directly over product).
+    fn join_finds_two_step_paths() {
+        // σ_{α₂=α₃}(G×G): the product is built, then filtered.
         let edges: Vec<Value> = [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")]
             .iter()
             .map(|(x, y)| Value::tuple([Value::sym(x), Value::sym(y)]))
@@ -791,17 +344,6 @@ mod tests {
             RalgPred::Eq(RalgExpr::var("x").attr(2), RalgExpr::var("x").attr(3)),
         );
         let joined = eval_relation(&join, &db).unwrap();
-        // Same σ, but over a union with the empty relation so the base of
-        // the chain is not a Product node.
-        let detour = RalgExpr::var("G")
-            .product(RalgExpr::var("G"))
-            .union(RalgExpr::lit(Value::empty_bag()))
-            .select(
-                "x",
-                RalgPred::Eq(RalgExpr::var("x").attr(2), RalgExpr::var("x").attr(3)),
-            );
-        let materialized = eval_relation(&detour, &db).unwrap();
-        assert_eq!(joined, materialized);
         assert!(joined.contains(&Value::tuple([
             Value::sym("a"),
             Value::sym("b"),
@@ -811,27 +353,20 @@ mod tests {
     }
 
     #[test]
-    fn streamed_map_over_product_matches_materialized() {
+    fn map_over_product_collapses_to_a_set() {
         let db = Database::new()
             .with("R", unary(&["a", "b", "c"]))
             .with("S", unary(&["x", "y"]));
-        let fused = RalgExpr::var("R")
+        let q = RalgExpr::var("R")
             .product(RalgExpr::var("S"))
             .map("t", RalgExpr::tuple([RalgExpr::var("t").attr(2)]));
-        let detour = RalgExpr::var("R")
-            .product(RalgExpr::var("S"))
-            .union(RalgExpr::lit(Value::empty_bag()))
-            .map("t", RalgExpr::tuple([RalgExpr::var("t").attr(2)]));
-        let a = eval_relation(&fused, &db).unwrap();
-        let b = eval_relation(&detour, &db).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2); // set semantics collapse to the S side
+        let rel = eval_relation(&q, &db).unwrap();
+        assert_eq!(rel.len(), 2); // set semantics collapse to the S side
     }
 
     #[test]
-    fn fused_chain_enforces_element_limit_incrementally() {
-        // Every pair survives the σ, so the streamed product would emit
-        // |R|² = 100 tuples; a budget of 8 must stop the loop early.
+    fn product_enforces_element_limit() {
+        // |R|² = 100 pairs against a budget of 8.
         let db = Database::new().with(
             "R",
             Bag::from_values((0..10).map(|i| Value::tuple([Value::int(i)]))),

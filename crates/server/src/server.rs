@@ -58,6 +58,8 @@ pub struct ServerConfig {
     /// Serve durably out of this directory: the latest snapshot is
     /// loaded, the WAL replayed, and every committed write fsynced (one
     /// group sync per drained writer batch) **before** it is acked.
+    /// Bags of the spawned database the directory does not hold yet are
+    /// seeded into it; for the bags it holds, its state wins.
     pub data_dir: Option<PathBuf>,
     /// Per-session read timeout: a session idle past this is closed
     /// cleanly (counted in `:stats`). `None` means sessions may idle
@@ -194,20 +196,8 @@ impl SqlServer {
         let mut rt = match &data_dir {
             None => SqlRuntime::with_limits(catalog, db, limits),
             Some(dir) => {
-                let mut rt = SqlRuntime::open(&catalog, dir, limits)
+                let mut rt = SqlRuntime::open(&catalog, &db, dir, limits)
                     .map_err(|e| io::Error::other(e.to_string()))?;
-                // Seed bases the directory doesn't know yet (a fresh
-                // directory with initial data); existing state wins.
-                let seed: Vec<(String, balg_core::bag::Bag)> = db
-                    .iter()
-                    .filter(|(name, _)| rt.runtime().database().get(name).is_none())
-                    .map(|(name, bag)| (name.to_string(), bag.clone()))
-                    .collect();
-                for (name, bag) in seed {
-                    rt.backend_mut()
-                        .load_base(&name, bag)
-                        .map_err(|e| io::Error::other(e.to_string()))?;
-                }
                 // The writer thread group-commits: one fsync per drained
                 // batch, before any of its acks.
                 rt.backend_mut().set_sync_on_commit(false);

@@ -106,6 +106,41 @@ fn durable_server_survives_restart() {
 }
 
 #[test]
+fn seed_rows_reach_a_fresh_directory_and_never_overwrite_it() {
+    let dir = scratch("seed");
+    let catalog = Catalog::new().with_table("t", &[("v", true)]);
+    let seeded = |values: &[i64]| {
+        let rows = values.iter().map(|&v| vec![SqlValue::Int(v)]).collect();
+        database_from_rows(&catalog, &[("t", rows)]).unwrap()
+    };
+    let spawn = |db: Database| {
+        let config = ServerConfig {
+            data_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        SqlServer::spawn("127.0.0.1:0", catalog.clone(), db, config).unwrap()
+    };
+
+    // A fresh directory takes the seed rows.
+    let server = spawn(seeded(&[1, 2, 3, 4, 5]));
+    let mut client = Client::connect(server.addr()).unwrap();
+    let rows = client.request("SELECT v FROM t").unwrap();
+    assert!(rows.ok, "{}", rows.text);
+    assert!(rows.text.contains("(5 rows)"), "{}", rows.text);
+    server.shutdown();
+
+    // A restart with different seed rows keeps the directory's state.
+    let server = spawn(seeded(&[7, 8]));
+    let mut client = Client::connect(server.addr()).unwrap();
+    let rows = client.request("SELECT v FROM t").unwrap();
+    assert!(rows.ok, "{}", rows.text);
+    assert!(rows.text.contains("(5 rows)"), "{}", rows.text);
+    assert!(!rows.text.contains('7'), "{}", rows.text);
+    server.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
 fn full_writer_queue_rejects_with_busy_instead_of_blocking() {
     // 600 seed rows make the cross-product view materialization a
     // genuinely slow write, so the writer is provably mid-job while we

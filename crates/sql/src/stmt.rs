@@ -385,11 +385,14 @@ impl SqlRuntime {
 
     /// A durable session over `data_dir`: loads the latest snapshot,
     /// replays the WAL, restores the persisted catalog and view output
-    /// shapes from meta records, and declares any table in `catalog` the
-    /// directory doesn't know yet (so a fresh directory and a reopened
-    /// one go through the same call).
+    /// shapes from meta records, seeds every bag of `seed` the directory
+    /// doesn't know yet, and declares any table in `catalog` the directory
+    /// doesn't know yet (so a fresh directory and a reopened one go
+    /// through the same call). For bags the directory already holds, its
+    /// state wins over `seed`.
     pub fn open(
         catalog: &Catalog,
+        seed: &balg_core::schema::Database,
         data_dir: impl AsRef<Path>,
         limits: Limits,
     ) -> Result<SqlRuntime, SqlError> {
@@ -423,6 +426,15 @@ impl SqlRuntime {
         // maintenance failures re-happen on replay); drop their shapes.
         rt.view_columns
             .retain(|name, _| rt.backend.runtime().view(name).is_some());
+        // Seed before declaring the caller's tables: a fresh declaration
+        // loads an empty base, which would then read as already known.
+        for (name, bag) in seed.iter() {
+            if rt.backend.runtime().database().get(name).is_none() {
+                rt.backend
+                    .load_base(name, bag.clone())
+                    .map_err(durable_err)?;
+            }
+        }
         // Then the caller's catalog: new tables are declared (and
         // persisted); already-known tables must not be silently reshaped.
         let fresh: Vec<Table> = catalog
@@ -757,6 +769,7 @@ impl SqlRuntime {
 mod tests {
     use super::*;
     use crate::compile::database_from_rows;
+    use balg_core::schema::Database;
 
     fn setup() -> SqlRuntime {
         let catalog = Catalog::new()
@@ -1020,7 +1033,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = Catalog::new().with_table("orders", &[("customer", false), ("qty", true)]);
         {
-            let mut rt = SqlRuntime::open(&catalog, &dir, Limits::default()).unwrap();
+            let mut rt =
+                SqlRuntime::open(&catalog, &Database::new(), &dir, Limits::default()).unwrap();
             rt.execute("INSERT INTO orders VALUES ('ann', 3), ('bob', 5)")
                 .unwrap();
             rt.execute("CREATE VIEW spenders AS SELECT customer FROM orders WHERE qty >= 4")
@@ -1036,7 +1050,8 @@ mod tests {
         }
         // Reopen with an *empty* caller catalog: everything must come
         // back from the directory alone.
-        let mut rt = SqlRuntime::open(&Catalog::new(), &dir, Limits::default()).unwrap();
+        let mut rt =
+            SqlRuntime::open(&Catalog::new(), &Database::new(), &dir, Limits::default()).unwrap();
         assert!(rt.catalog().get("orders").is_some());
         assert!(rt.catalog().get("notes").is_some());
         assert_eq!(rt.view_rows("spenders").unwrap().total_rows(), 2); // bob, cleo
