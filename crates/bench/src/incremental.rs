@@ -300,9 +300,10 @@ fn plans() -> Vec<Plan> {
         ));
     }
     {
-        // Non-linear control: ε(R − S) re-derives per batch. No order-of-
-        // magnitude speedup is claimed here — it documents the fallback
-        // cost next to the linear wins.
+        // Pointwise pair: ε(R − S) maintains through the pointwise rule,
+        // which looks up only the delta's keys in the R and S snapshots
+        // instead of re-deriving both operators per update. Its gate is
+        // delta ≥ 10× faster than recompute.
         let expr = Expr::var("R").subtract(Expr::var("S")).dedup();
         out.push(plan(
             "u4_monus_dedup",

@@ -594,7 +594,7 @@ mod tests {
         assert!(out.contains("duplicate-free (certified)"), "{out}");
         assert!(out.contains("cannot error"), "{out}");
         assert!(out.contains("polynomial"), "{out}");
-        assert!(out.contains("G: non-linear"), "{out}");
+        assert!(out.contains("G: pointwise"), "{out}");
         let out = text(session.process_line(":analyze powerset(G)"));
         assert!(out.contains("exponential"), "{out}");
         assert!(out.contains("TooLarge risk"), "{out}");

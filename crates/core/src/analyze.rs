@@ -23,9 +23,11 @@
 //! 3. **Per-base linearity** — how the result depends on each database
 //!    bag: [`Linearity::Unread`], [`Linearity::Linear`] (deltas propagate
 //!    additively), [`Linearity::Bilinear`] (through one side of a `×` or
-//!    equi-join), or [`Linearity::NonLinear`] (a non-linear operator or a
-//!    λ body reads the base — the *affected-body* condition the
-//!    incremental engine falls back on). The classification mirrors the
+//!    equi-join), [`Linearity::Pointwise`] (through `−`, `∪`, `∩` or `ε`,
+//!    whose deltas stay on the input delta's keys), or
+//!    [`Linearity::NonLinear`] (a non-linear operator or a λ body reads
+//!    the base — the *affected-body* condition the incremental engine
+//!    falls back on). The classification mirrors the
 //!    delta-strategy dispatch of `balg-incremental` exactly, and the
 //!    differential suite asserts they agree on random update streams.
 //! 4. **Tractability class** — a polynomial degree bound when the
@@ -142,10 +144,9 @@ impl From<TypeError> for AnalyzeError {
 /// How the result of an expression depends on one database bag.
 ///
 /// Ordered by "how much work an update to the base costs": deltas to a
-/// [`Linearity::Linear`] or [`Linearity::Bilinear`] base propagate as
-/// linear delta operations in the incremental engine; a
-/// [`Linearity::NonLinear`] base forces operator recomputation somewhere
-/// on the path to the root.
+/// base up to [`Linearity::Pointwise`] propagate as delta operations in
+/// the incremental engine; a [`Linearity::NonLinear`] base forces
+/// operator recomputation somewhere on the path to the root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Linearity {
     /// The base does not occur free in the expression.
@@ -158,9 +159,15 @@ pub enum Linearity {
     /// propagate without recomputation (`Δ(A×B) = ΔA×B ∪⁺ A×ΔB ∪⁺
     /// ΔA×ΔB`).
     Bilinear,
-    /// Some path passes through a non-linear operator (`−`, `∪`, `∩`,
-    /// `ε`, `P`, `P_b`, `nest`, `IFP`, a scalar constructor) or the base
-    /// is read inside a λ body — the affected-body condition.
+    /// Some path passes through a pointwise operator (`−`, `∪`, `∩`,
+    /// `ε`): an element's output multiplicity depends only on that
+    /// element's input multiplicities, so the operator's delta is
+    /// confined to the keys of its input deltas and is computed by
+    /// lookups, without re-deriving the operator.
+    Pointwise,
+    /// Some path passes through a non-linear operator (`P`, `P_b`,
+    /// `nest`, `IFP`, a scalar constructor) or the base is read inside a
+    /// λ body — the affected-body condition.
     NonLinear,
 }
 
@@ -170,6 +177,7 @@ impl fmt::Display for Linearity {
             Linearity::Unread => "unread",
             Linearity::Linear => "linear",
             Linearity::Bilinear => "bilinear",
+            Linearity::Pointwise => "pointwise",
             Linearity::NonLinear => "non-linear",
         })
     }
@@ -286,14 +294,6 @@ impl Facts {
             .get(base)
             .copied()
             .unwrap_or(Linearity::Unread)
-    }
-
-    /// `true` when every base the expression reads is linear or bilinear
-    /// — an update to any base propagates as delta operations only.
-    pub fn fully_linear(&self) -> bool {
-        self.linearity
-            .values()
-            .all(|&class| class <= Linearity::Bilinear)
     }
 
     /// The smallest `k` such that the expression is in BALGᵏ. By the
@@ -436,8 +436,8 @@ fn set_like(expr: &Expr, set_env: &mut Vec<(Var, bool)>) -> bool {
 /// Per-base linearity classification, purely syntactic (no schema): how
 /// an update to each free base propagates through the expression. The
 /// rules mirror the incremental engine's per-operator delta dispatch, so
-/// a base classified [`Linearity::Linear`]/[`Linearity::Bilinear`] never
-/// triggers an operator recomputation there.
+/// a base classified at most [`Linearity::Pointwise`] never triggers an
+/// operator recomputation there.
 pub fn base_linearity(expr: &Expr) -> BTreeMap<Var, Linearity> {
     classify(expr, &mut Vec::new())
 }
@@ -513,11 +513,12 @@ fn classify(expr: &Expr, bound: &mut Vec<Var>) -> BTreeMap<Var, Linearity> {
         Expr::Lit(_) => BTreeMap::new(),
         // Δ(a ∪⁺ b) = Δa ∪⁺ Δb: linearity preserved on both sides.
         Expr::AdditiveUnion(a, b) => join(classify(a, bound), classify(b, bound)),
-        // Monus, max and min are not delta-additive: the engine
-        // recomputes the operator whenever either input changes.
-        Expr::Subtract(a, b) | Expr::MaxUnion(a, b) | Expr::Intersect(a, b) => {
-            saturate(join(classify(a, bound), classify(b, bound)))
-        }
+        // Monus, max and min are not delta-additive but pointwise: the
+        // engine looks up the input deltas' keys instead of re-deriving.
+        Expr::Subtract(a, b) | Expr::MaxUnion(a, b) | Expr::Intersect(a, b) => raise(
+            join(classify(a, bound), classify(b, bound)),
+            Linearity::Pointwise,
+        ),
         // Scalar constructors recompute from scratch on any change.
         Expr::Tuple(fields) => {
             let mut map = BTreeMap::new();
@@ -529,20 +530,12 @@ fn classify(expr: &Expr, bound: &mut Vec<Var>) -> BTreeMap<Var, Linearity> {
         Expr::Singleton(e) | Expr::Attr(e, _) => saturate(classify(e, bound)),
         // Δ(a × b) = Δa×b ∪⁺ a×Δb ∪⁺ Δa×Δb: still delta form, but the
         // delta pairs with the *other* side's snapshot — bilinear.
-        Expr::Product(a, b) => {
-            let map = join(classify(a, bound), classify(b, bound));
-            map.into_iter()
-                .map(|(base, class)| {
-                    let class = if class <= Linearity::Bilinear {
-                        Linearity::Bilinear
-                    } else {
-                        Linearity::NonLinear
-                    };
-                    (base, class)
-                })
-                .collect()
-        }
-        Expr::Powerset(e) | Expr::Powerbag(e) | Expr::Dedup(e) => saturate(classify(e, bound)),
+        Expr::Product(a, b) => raise(
+            join(classify(a, bound), classify(b, bound)),
+            Linearity::Bilinear,
+        ),
+        Expr::Dedup(e) => raise(classify(e, bound), Linearity::Pointwise),
+        Expr::Powerset(e) | Expr::Powerbag(e) => saturate(classify(e, bound)),
         // δ distributes over ∪⁺: deltas pass straight through.
         Expr::Destroy(e) => classify(e, bound),
         Expr::Map { var, body, input } => {
@@ -580,6 +573,13 @@ fn join(mut a: BTreeMap<Var, Linearity>, b: BTreeMap<Var, Linearity>) -> BTreeMa
         *entry = (*entry).max(class);
     }
     a
+}
+
+/// Lift every base to at least `floor` (a class above it is kept).
+fn raise(map: BTreeMap<Var, Linearity>, floor: Linearity) -> BTreeMap<Var, Linearity> {
+    map.into_iter()
+        .map(|(base, class)| (base, class.max(floor)))
+        .collect()
 }
 
 fn saturate(map: BTreeMap<Var, Linearity>) -> BTreeMap<Var, Linearity> {
@@ -1192,8 +1192,26 @@ mod tests {
 
         let minus = Expr::var("G").subtract(Expr::var("H"));
         let map = base_linearity(&minus);
+        assert_eq!(map[&Var::from("G")], Linearity::Pointwise);
+        assert_eq!(map[&Var::from("H")], Linearity::Pointwise);
+
+        // Pointwise operators compose with each other, with linear
+        // operators, and under `×`; anything non-linear below stays so.
+        let stacked = Expr::var("G")
+            .max_union(Expr::var("H"))
+            .intersect(Expr::var("G"))
+            .dedup()
+            .product(Expr::var("K"))
+            .project(&[1]);
+        let map = base_linearity(&stacked);
+        assert_eq!(map[&Var::from("G")], Linearity::Pointwise);
+        assert_eq!(map[&Var::from("H")], Linearity::Pointwise);
+        assert_eq!(map[&Var::from("K")], Linearity::Bilinear);
+        let under = Expr::var("G").powerset().destroy().subtract(Expr::var("H"));
+        let map = base_linearity(&under);
         assert_eq!(map[&Var::from("G")], Linearity::NonLinear);
-        assert_eq!(map[&Var::from("H")], Linearity::NonLinear);
+        assert_eq!(map[&Var::from("H")], Linearity::Pointwise);
+        assert_eq!(Linearity::Pointwise.to_string(), "pointwise");
 
         // The affected-λ-body condition.
         let affected = Expr::var("G").select(

@@ -373,6 +373,62 @@ impl ZBag {
         ))
     }
 
+    /// The delta of a [`Pointwise`] operator, from its operands'
+    /// **post-update** values and deltas: `op(A, B)` changes by
+    /// `op(A, B) − op(A ⊖ δA, B ⊖ δB)`, and because the operator is
+    /// pointwise only the keys of `δA` and `δB` can change. Each such key
+    /// is looked up in `a` and `b` through a forward galloping cursor, so
+    /// the cost is `O(|δ| log(n / |δ|))` — never worse than the `O(n)`
+    /// merge of re-deriving and diffing, even when `|δ| ≥ n`. A unary
+    /// operator ([`Pointwise::Dedup`]) ignores `b` and `db`.
+    ///
+    /// Errs with [`ZBagError::NegativeMultiplicity`] when a delta deletes
+    /// more occurrences than the post-update value implies were there —
+    /// the operands and their deltas disagree.
+    pub fn pointwise(
+        op: Pointwise,
+        a: &Bag,
+        da: &ZBag,
+        b: &Bag,
+        db: &ZBag,
+    ) -> Result<ZBag, ZBagError> {
+        let (da, db) = (da.pairs(), db.pairs());
+        let (mut rest_a, mut rest_b) = (a.pairs(), b.pairs());
+        let (mut i, mut j) = (0, 0);
+        let mut out = Vec::new();
+        while i < da.len() || j < db.len() {
+            let order = match (da.get(i), db.get(j)) {
+                (Some(x), Some(y)) => x.0.cmp(&y.0),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let (key, change_a, change_b) = match order {
+                Ordering::Less => (&da[i].0, Some(&da[i].1), None),
+                Ordering::Greater => (&db[j].0, None, Some(&db[j].1)),
+                Ordering::Equal => (&da[i].0, Some(&da[i].1), Some(&db[j].1)),
+            };
+            if order != Ordering::Greater {
+                i += 1;
+            }
+            if order != Ordering::Less {
+                j += 1;
+            }
+            let new_a = seek(&mut rest_a, key);
+            let new_b = seek(&mut rest_b, key);
+            let old_a = old_multiplicity(key, new_a, change_a)?;
+            let old_b = old_multiplicity(key, new_b, change_b)?;
+            let after = op.apply(new_a, new_b);
+            let before = op.apply(&old_a, &old_b);
+            let change = match after.cmp(&before) {
+                Ordering::Equal => continue,
+                Ordering::Greater => ZInt::from_natural(after.monus(&before)),
+                Ordering::Less => ZInt::from_parts(true, before.monus(&after)),
+            };
+            out.push((key.clone(), change));
+        }
+        Ok(ZBag::from_sorted_vec(out))
+    }
+
     /// The checked extraction `ZBag ⟶ Bag`: succeeds iff every
     /// multiplicity is non-negative.
     pub fn try_into_bag(&self) -> Result<Bag, ZBagError> {
@@ -525,6 +581,72 @@ impl ZBag {
             }
         }
         Ok(out.build())
+    }
+}
+
+/// A *pointwise* bag operator: an element's output multiplicity depends
+/// only on that element's input multiplicities, so a delta to the output
+/// is confined to the keys of the input deltas ([`ZBag::pointwise`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pointwise {
+    /// Monus `A − B`: `a ∸ b`.
+    Monus,
+    /// Max-union `A ∪ B`: `max(a, b)`.
+    Max,
+    /// Intersection `A ∩ B`: `min(a, b)`.
+    Min,
+    /// Duplicate elimination `ε(A)`: `min(1, a)` (unary; `b` is ignored).
+    Dedup,
+}
+
+impl Pointwise {
+    /// The operator on one element's multiplicities.
+    fn apply(self, a: &Natural, b: &Natural) -> Natural {
+        match self {
+            Pointwise::Monus => a.monus(b),
+            Pointwise::Max => a.max(b).clone(),
+            Pointwise::Min => a.min(b).clone(),
+            Pointwise::Dedup if a.is_zero() => Natural::zero(),
+            Pointwise::Dedup => Natural::one(),
+        }
+    }
+}
+
+/// The multiplicity of `key` in the sorted pair slice `rest` (zero when
+/// absent), advancing `rest` past every smaller key. Keys must be sought
+/// in ascending order; each lookup gallops from where the previous one
+/// stopped, so `k` lookups over `n` pairs cost `O(k log(n / k))`.
+fn seek<'a>(rest: &mut &'a [(Value, Natural)], key: &Value) -> &'a Natural {
+    static ZERO: Natural = Natural::zero();
+    // Double the probe distance while it still lands below `key`:
+    // everything before `end / 2` is then known to be smaller.
+    let mut end = 1;
+    while end < rest.len() && rest[end - 1].0 < *key {
+        end *= 2;
+    }
+    let start = end / 2;
+    let end = end.min(rest.len());
+    let at = start + rest[start..end].partition_point(|(v, _)| v < key);
+    *rest = &rest[at..];
+    match rest.first() {
+        Some((v, m)) if v == key => m,
+        _ => &ZERO,
+    }
+}
+
+/// The pre-update multiplicity `new − change` of one operand (`change`
+/// absent: the operand did not move at this key).
+fn old_multiplicity(
+    key: &Value,
+    new: &Natural,
+    change: Option<&ZInt>,
+) -> Result<Natural, ZBagError> {
+    match change {
+        None => Ok(new.clone()),
+        Some(change) if change.is_negative() => Ok(new + change.magnitude()),
+        Some(change) => new
+            .checked_sub(change.magnitude())
+            .ok_or_else(|| ZBagError::NegativeMultiplicity { value: key.clone() }),
     }
 }
 

@@ -9,7 +9,7 @@
 //! ([`balg_core::zbag::ZBag`]) turns every insert/delete batch into a
 //! first-class *delta bag* that flows through the operators.
 //!
-//! ## The linear / non-linear operator split
+//! ## The linear / pointwise / non-linear operator split
 //!
 //! For the **linear** operators the maintained identity
 //! `F(B ⊕ δ) = F(B) ⊕ F(δ)` (bilinear for `×`) updates a view purely from
@@ -23,14 +23,22 @@
 //! | `δ` (destroy) | `δ` of the delta, inner bags scaled by signed outer multiplicity |
 //! | scalar constructs (`τ`, `β`, `αᵢ`) | cheap re-derivation of the single value |
 //!
-//! The **non-linear** operators — monus `−`, `ε`, `∪` (max), `∩` (min),
-//! `nest`, powerset/powerbag, `IFP`, and `MAP`/`σ` whose λ body reads an
-//! updated bag (e.g. a `SubBag` predicate against a changing base) — fall
-//! back to re-derivation of **only the affected subtree**: every node
-//! memoizes its value, so the fallback recomputes one operator over its
-//! children's (already incrementally-maintained) snapshots and
-//! re-expresses the result as a delta ([`balg_core::zbag::ZBag::diff`])
-//! for its parents. Untouched subtrees are skipped entirely via free-name
+//! The **pointwise** operators — monus `−`, `∪` (max), `∩` (min) and `ε`
+//! — are not linear, but an element's output multiplicity depends only
+//! on that element's input multiplicities. Their rule
+//! ([`balg_core::zbag::ZBag::pointwise`]) visits only the keys of the
+//! children's deltas: it looks up each key's post-update multiplicities
+//! in the children's snapshots, recovers the old ones as `new − δ`, and
+//! emits `op(new) − op(old)` — `O(|δ| log(n/|δ|))`, with no
+//! re-derivation (Griffin & Libkin, SIGMOD 1995).
+//!
+//! The **non-linear** operators — `nest`, powerset/powerbag, `IFP`, and
+//! `MAP`/`σ` whose λ body reads an updated bag (e.g. a `SubBag`
+//! predicate against a changing base) — fall back to re-derivation of
+//! **only the affected subtree**: their inputs are memoized, so the
+//! fallback recomputes one operator over its children's (already
+//! incrementally-maintained) snapshots and re-expresses the result as a
+//! delta ([`balg_core::zbag::ZBag::diff`]) for its parents. Untouched subtrees are skipped entirely via free-name
 //! analysis. Fallbacks are counted by an instrumentation counter
 //! ([`ViewStats::fallback_recomputes`]) so tests can assert which path
 //! ran.

@@ -96,7 +96,7 @@ pub(crate) fn incr_obs() -> Option<&'static IncrObs> {
         ),
         linear_delta_ops: registry.counter(
             "balg_linear_delta_ops_total",
-            "Linear derivative-rule applications",
+            "Delta-rule applications (linear, bilinear and pointwise)",
         ),
         fallback_recomputes: registry.counter(
             "balg_fallback_recomputes_total",

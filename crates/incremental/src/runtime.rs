@@ -731,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn nonlinear_operators_fall_back_and_count_it() {
+    fn monus_takes_the_pointwise_rule_and_counts_it() {
         let mut runtime = ViewRuntime::new();
         runtime
             .load_base("R", graph(&[("a", "b"), ("a", "b")]))
@@ -750,7 +750,9 @@ mod tests {
         runtime.apply(&batch).unwrap();
         assert!(runtime.view("diff").unwrap().is_empty());
         checked(&runtime);
-        assert!(runtime.stats().views.fallback_recomputes > 0);
+        let stats = runtime.stats().views;
+        assert_eq!(stats.fallback_recomputes, 0, "{stats:?}");
+        assert_eq!(stats.linear_delta_ops, 1, "{stats:?}");
     }
 
     #[test]

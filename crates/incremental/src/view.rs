@@ -1,13 +1,18 @@
 //! One maintained view: a BALG expression compiled to a tree of
 //! snapshot-carrying nodes with per-operator derivative rules.
 //!
-//! Each node memoizes its current value under the runtime's database.
-//! An update pass walks the tree once: subtrees whose free database names
-//! are untouched by the batch return immediately; linear operators combine
-//! their children's deltas algebraically; non-linear operators re-derive
-//! **one operator application** over their children's refreshed snapshots
-//! and hand the pointwise difference to their parent as a delta. The
-//! result is that work concentrates where the update actually lands.
+//! Each node memoizes its current value under the runtime's database
+//! when a parent or its own maintenance needs it. An update pass walks
+//! the tree once: subtrees whose free database names are untouched by
+//! the batch return immediately; linear operators combine their
+//! children's deltas algebraically; the pointwise operators `−`, `∪`,
+//! `∩` and `ε` look up only the keys of their children's deltas in the
+//! children's refreshed snapshots ([`ZBag::pointwise`]); the remaining
+//! non-linear operators (`nest`, `P`, `P_b`, `IFP`, and `MAP`/`σ` whose
+//! λ body reads an updated bag) re-derive **one operator application**
+//! over their children's refreshed snapshots and hand the difference to
+//! their parent as a delta. The result is that work concentrates where
+//! the update actually lands.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -23,7 +28,7 @@ use balg_core::par::{self, Parallel};
 use balg_core::pool;
 use balg_core::schema::Database;
 use balg_core::value::Value;
-use balg_core::zbag::{ZBag, ZBagBuilder, ZInt};
+use balg_core::zbag::{Pointwise, ZBag, ZBagBuilder, ZInt};
 
 /// The fresh variable the fallback probes bind the memoized child
 /// snapshot to (not expressible in the surface syntax, so it can never
@@ -38,12 +43,13 @@ const DELTA_INPUT_RIGHT: &str = "·ΔinputR";
 /// Instrumentation counters for one view — which maintenance path ran.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ViewStats {
-    /// Linear derivative-rule applications (`∪⁺`, `MAP`/`σ` with an
-    /// unaffected body, the bilinear `×` rule, destroy).
+    /// Delta-rule applications: the linear rules (`∪⁺`, `MAP`/`σ` with
+    /// an unaffected body, destroy), the bilinear `×` rule, and the
+    /// pointwise rule of `−`, `∪`, `∩` and `ε`.
     pub linear_delta_ops: u64,
     /// Non-linear fallbacks: one operator re-derived over memoized child
-    /// snapshots (monus, `ε`, `∪`, `∩`, `nest`, `P`/`P_b`, `IFP`, and
-    /// `MAP`/`σ` whose λ body reads an updated bag).
+    /// snapshots (`nest`, `P`/`P_b`, `IFP`, `MAP`/`σ` whose λ body reads
+    /// an updated bag, and an operator over a non-bag child value).
     pub fallback_recomputes: u64,
     /// Scalar construct re-derivations (`τ`, `β`, `αᵢ` over a changed
     /// child value) — constant-size work, counted separately.
@@ -119,9 +125,8 @@ enum Kind {
     Var(Var),
     Lit(Value),
     AdditiveUnion,
-    Subtract,
-    MaxUnion,
-    Intersect,
+    /// `−`, `∪`, `∩` (two children) or `ε` (one child).
+    Pointwise(Pointwise),
     Tuple,
     Singleton,
     Product,
@@ -129,7 +134,6 @@ enum Kind {
     Powerbag,
     Attr(usize),
     Destroy,
-    Dedup,
     Map {
         var: Var,
         body: Expr,
@@ -207,7 +211,7 @@ struct UpdateCtx<'a, 'e> {
     /// Fallbacks forced by *data* irregularity in a fused equi-join
     /// (mixed arities, attributes past both sides) — a runtime property
     /// the syntactic linearity lattice cannot see, so these are exempt
-    /// from the ≤-bilinear no-fallback assertion in [`View::maintain`].
+    /// from the ≤-pointwise no-fallback assertion in [`View::maintain`].
     irregular_join_fallbacks: u64,
 }
 
@@ -268,15 +272,15 @@ fn compile(expr: &Expr) -> Node {
         }
         Expr::Subtract(a, b) => {
             children = vec![compile(a), compile(b)];
-            Kind::Subtract
+            Kind::Pointwise(Pointwise::Monus)
         }
         Expr::MaxUnion(a, b) => {
             children = vec![compile(a), compile(b)];
-            Kind::MaxUnion
+            Kind::Pointwise(Pointwise::Max)
         }
         Expr::Intersect(a, b) => {
             children = vec![compile(a), compile(b)];
-            Kind::Intersect
+            Kind::Pointwise(Pointwise::Min)
         }
         Expr::Product(a, b) => {
             children = vec![compile(a), compile(b)];
@@ -308,7 +312,7 @@ fn compile(expr: &Expr) -> Node {
         }
         Expr::Dedup(e) => {
             children = vec![compile(e)];
-            Kind::Dedup
+            Kind::Pointwise(Pointwise::Dedup)
         }
         Expr::Map { var, body, input } => {
             children = vec![compile(input)];
@@ -405,20 +409,13 @@ fn can_fall_back(node: &Node) -> bool {
             .any(|c| matches!(c.kind, Kind::Tuple | Kind::Attr(_)))
     };
     match &node.kind {
-        Kind::Subtract
-        | Kind::MaxUnion
-        | Kind::Intersect
-        | Kind::Dedup
-        | Kind::Powerset
-        | Kind::Powerbag
-        | Kind::Nest(_)
-        | Kind::Ifp { .. } => true,
+        Kind::Powerset | Kind::Powerbag | Kind::Nest(_) | Kind::Ifp { .. } => true,
         Kind::Tuple | Kind::Singleton | Kind::Attr(_) => true, // scalar re-derivation
         Kind::Map { .. } | Kind::Select { .. } => !node.body_reads.is_empty() || opaque_child(),
         // The fused join's linear rule needs uniform-arity operands — a
         // runtime property — so the node must be able to re-derive.
         Kind::EquiJoin { .. } => true,
-        Kind::AdditiveUnion | Kind::Product | Kind::Destroy => opaque_child(),
+        Kind::AdditiveUnion | Kind::Product | Kind::Destroy | Kind::Pointwise(_) => opaque_child(),
         Kind::Var(_) | Kind::Lit(_) => false,
     }
 }
@@ -435,12 +432,9 @@ fn mark_snapshots(node: &mut Node, demanded: bool) {
         _ => demanded || can_fall_back(node),
     };
     let demands_children = match &node.kind {
-        // Re-derivation reads every child; the bilinear product rule reads
-        // both operands' fresh values.
-        Kind::Subtract
-        | Kind::MaxUnion
-        | Kind::Intersect
-        | Kind::Dedup
+        // Re-derivation reads every child; the bilinear product rule and
+        // the pointwise rule read their operands' fresh values.
+        Kind::Pointwise(_)
         | Kind::Powerset
         | Kind::Powerbag
         | Kind::Nest(_)
@@ -906,9 +900,10 @@ impl Node {
                 .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
             Kind::Lit(value) => value.clone(),
             Kind::AdditiveUnion => Value::Bag(child_bag(0)?.additive_union(child_bag(1)?)),
-            Kind::Subtract => Value::Bag(child_bag(0)?.subtract(child_bag(1)?)),
-            Kind::MaxUnion => Value::Bag(child_bag(0)?.max_union(child_bag(1)?)),
-            Kind::Intersect => Value::Bag(child_bag(0)?.intersect(child_bag(1)?)),
+            Kind::Pointwise(Pointwise::Monus) => Value::Bag(child_bag(0)?.subtract(child_bag(1)?)),
+            Kind::Pointwise(Pointwise::Max) => Value::Bag(child_bag(0)?.max_union(child_bag(1)?)),
+            Kind::Pointwise(Pointwise::Min) => Value::Bag(child_bag(0)?.intersect(child_bag(1)?)),
+            Kind::Pointwise(Pointwise::Dedup) => Value::Bag(child_bag(0)?.dedup()),
             Kind::Product => Value::Bag(child_bag(0)?.product(child_bag(1)?, max_elements)?),
             Kind::Tuple => Value::Tuple(
                 self.children
@@ -931,7 +926,6 @@ impl Node {
                     .map_err(EvalError::Bag)?
             }
             Kind::Destroy => Value::Bag(child_bag(0)?.destroy()?),
-            Kind::Dedup => Value::Bag(child_bag(0)?.dedup()),
             Kind::Nest(group) => Value::Bag(child_bag(0)?.nest(group)?),
             Kind::Map { probe, .. } | Kind::Select { probe, .. } | Kind::Ifp { probe } => {
                 let input = self.children[0].current_value(db)?;
@@ -1138,6 +1132,37 @@ impl Node {
             }
         }
         Ok(Some((out.build(), used_index)))
+    }
+
+    /// The pointwise rule for `−`, `∪`, `∩` and `ε`: only the keys of the
+    /// children's deltas can change, so the node's delta is
+    /// [`ZBag::pointwise`] over the children's post-update values — no
+    /// re-derivation. An `Opaque` child (a non-bag value) re-derives.
+    fn pointwise_update(
+        &mut self,
+        ctx: &mut UpdateCtx<'_, '_>,
+        op: Pointwise,
+        a: &Delta,
+        b: &Delta,
+    ) -> Result<Delta, MaintainError> {
+        let zero = ZBag::new();
+        let (da, db) = match (a, b) {
+            (Delta::Opaque, _) | (_, Delta::Opaque) => return self.fallback(ctx),
+            (Delta::None, Delta::None) => return Ok(Delta::None),
+            (Delta::Bag(da), Delta::Bag(db)) => (da, db),
+            (Delta::Bag(da), Delta::None) => (da, &zero),
+            (Delta::None, Delta::Bag(db)) => (&zero, db),
+        };
+        let empty = Bag::new();
+        let a_new = self.children[0].current_bag(ctx.db)?;
+        let b_new = match self.children.get(1) {
+            Some(child) => child.current_bag(ctx.db)?,
+            None => &empty,
+        };
+        let delta = ZBag::pointwise(op, a_new, da, b_new, db)
+            .map_err(|e| MaintainError::Internal(e.to_string()))?;
+        ctx.stats.linear_delta_ops += 1;
+        self.apply_bag_delta(delta)
     }
 
     /// Apply a bag delta to this node's snapshot (in place when uniquely
@@ -1361,17 +1386,18 @@ impl Node {
                     Delta::Opaque => unreachable!("handled above"),
                 }
             }
-            // Non-linear bag operators: refresh children, then re-derive
-            // this single operator over their snapshots.
-            Kind::Subtract | Kind::MaxUnion | Kind::Intersect => {
+            Kind::Pointwise(op) => {
+                let op = *op;
                 let da = self.children[0].update(ctx)?;
-                let db = self.children[1].update(ctx)?;
-                if matches!((&da, &db), (Delta::None, Delta::None)) {
-                    return Ok(Delta::None);
-                }
-                self.fallback(ctx)
+                let db = match self.children.get_mut(1) {
+                    Some(child) => child.update(ctx)?,
+                    None => Delta::None,
+                };
+                self.pointwise_update(ctx, op, &da, &db)
             }
-            Kind::Dedup | Kind::Powerset | Kind::Powerbag | Kind::Nest(_) => {
+            // Non-linear bag operators: refresh the child, then re-derive
+            // this single operator over its snapshot.
+            Kind::Powerset | Kind::Powerbag | Kind::Nest(_) => {
                 match self.children[0].update(ctx)? {
                     Delta::None => Ok(Delta::None),
                     _ => self.fallback(ctx),
@@ -1414,7 +1440,7 @@ pub struct View {
     /// ([`balg_core::analyze::base_linearity`]), computed once at
     /// registration. Debug builds assert the certificate against the
     /// instrumentation counters on every maintenance pass: a batch that
-    /// touches only ≤-bilinear bases must run entirely in delta form.
+    /// touches only ≤-pointwise bases must run entirely in delta form.
     linearity: BTreeMap<Var, Linearity>,
 }
 
@@ -1478,9 +1504,9 @@ impl View {
 
     /// The static analyzer's per-base linearity classification of the
     /// view's expression (bases absent from the map are unread). A base
-    /// at [`Linearity::Linear`]/[`Linearity::Bilinear`] propagates
-    /// through delta rules; anything higher can force an operator
-    /// re-derivation when it changes.
+    /// up to [`Linearity::Pointwise`] propagates through delta rules;
+    /// [`Linearity::NonLinear`] can force an operator re-derivation when
+    /// it changes.
     pub fn linearity(&self) -> &BTreeMap<Var, Linearity> {
         &self.linearity
     }
@@ -1527,7 +1553,7 @@ impl View {
             }
         }
         // The analyzer's certificate, checked against reality: when every
-        // updated base is ≤ bilinear (and no fused join hit irregular
+        // updated base is ≤ pointwise (and no fused join hit irregular
         // data), the whole pass must have stayed in delta form. The
         // converse is *not* asserted — a non-linear base can still get
         // lucky (e.g. its subtree delta cancels to zero).
@@ -1538,13 +1564,13 @@ impl View {
                         .get(base)
                         .copied()
                         .unwrap_or(Linearity::Unread)
-                        <= Linearity::Bilinear
+                        <= Linearity::Pointwise
                 });
                 !(all_linearish && irregular == 0)
                     || (self.stats.fallback_recomputes == counters_before.0
                         && self.stats.scalar_recomputes == counters_before.1)
             },
-            "a batch over ≤-bilinear bases re-derived an operator despite the \
+            "a batch over ≤-pointwise bases re-derived an operator despite the \
              linearity certificate: {:?} affected={affected:?}",
             self.linearity,
         );

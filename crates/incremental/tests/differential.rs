@@ -653,7 +653,8 @@ fn non_spanning_equi_join_stays_linear_and_exact() {
 }
 
 /// Non-linear fallbacks are *exercised* and visible through the
-/// instrumentation counter; linear chains stay fallback-free.
+/// instrumentation counter; linear chains and pointwise operators stay
+/// fallback-free.
 #[test]
 fn fallback_counter_separates_linear_from_nonlinear() {
     // Linear chain: σ/π over R — zero fallbacks.
@@ -680,7 +681,8 @@ fn fallback_counter_separates_linear_from_nonlinear() {
     assert!(stats.views.linear_delta_ops > 0);
     assert_eq!(stats.views.fallback_recomputes, 0);
 
-    // Non-linear: monus and a SubBag predicate against a changing base.
+    // Pointwise monus next to a SubBag predicate against a changing
+    // base: only the affected λ body re-derives.
     let mut runtime = ViewRuntime::with_limits(limits());
     for (name, bag) in base_db() {
         runtime.load_base(name, bag).unwrap();
@@ -701,10 +703,57 @@ fn fallback_counter_separates_linear_from_nonlinear() {
     batch.insert("R", unary(2));
     runtime.apply(&batch).unwrap();
     let stats = runtime.stats();
-    assert!(
-        stats.views.fallback_recomputes >= 2,
-        "monus and the affected SubBag body must both re-derive: {stats:?}"
+    assert_eq!(
+        stats.views.fallback_recomputes, 1,
+        "only the affected SubBag body may re-derive: {stats:?}"
     );
+    assert!(stats.views.linear_delta_ops > 0, "{stats:?}");
+    assert!(runtime.verify_all().unwrap());
+}
+
+/// A batch far larger than its base (600 inserts into a 10-row base)
+/// keeps every pointwise view exact through the pointwise rule — there
+/// is no size threshold that sends large deltas back to re-derivation.
+#[test]
+fn bulk_batch_keeps_pointwise_views_exact_without_rederiving() {
+    let mut runtime = ViewRuntime::with_limits(Limits {
+        max_bag_elements: 1 << 16,
+        ..limits()
+    });
+    runtime
+        .load_base("R", Bag::from_values((0..10).map(unary)))
+        .unwrap();
+    runtime
+        .load_base("S", Bag::from_values((5..15).map(unary)))
+        .unwrap();
+    let views = [
+        ("fresh", Expr::var("R").subtract(Expr::var("S")).dedup()),
+        ("max", Expr::var("R").max_union(Expr::var("S"))),
+        ("min", Expr::var("R").intersect(Expr::var("S"))),
+    ];
+    for (name, expr) in &views {
+        runtime.create_view(name, expr.clone()).unwrap();
+    }
+    let mut batch = UpdateBatch::new();
+    for i in 0..600i64 {
+        batch.insert("R", unary(i % 400));
+        if i % 3 == 0 {
+            batch.insert("S", unary(i % 200));
+        }
+    }
+    for i in 0..10 {
+        batch.delete("R", unary(i));
+    }
+    runtime.apply(&batch).unwrap();
+    let stats = runtime.stats().views;
+    assert_eq!(stats.fallback_recomputes, 0, "{stats:?}");
+    assert!(stats.linear_delta_ops >= 3, "{stats:?}");
+    for (name, expr) in &views {
+        let fresh = Evaluator::new(runtime.database(), limits())
+            .eval_bag(expr)
+            .unwrap();
+        assert_eq!(runtime.view(name).unwrap(), &fresh, "{name} diverged");
+    }
     assert!(runtime.verify_all().unwrap());
 }
 

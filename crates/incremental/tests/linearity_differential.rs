@@ -1,7 +1,7 @@
 //! Differential check of the static analyzer's linearity certificate
 //! against the incremental engine's instrumentation: for random
 //! (query, update-stream) pairs, whenever every base touched by a batch
-//! is classified ≤ [`Linearity::Bilinear`] by
+//! is classified ≤ [`Linearity::Pointwise`] by
 //! [`balg_core::analyze::base_linearity`], the maintenance pass must run
 //! entirely in delta form — zero operator re-derivations and zero scalar
 //! recomputes.
@@ -57,8 +57,8 @@ fn base_db() -> Vec<(&'static str, Bag)> {
 }
 
 /// A seeded query generator biased toward *mixed* linearity: subtrees
-/// where one base flows through delta rules while another is trapped
-/// under a non-linear operator, so batches restricted to the former must
+/// where one base flows through delta rules (linear, bilinear or
+/// pointwise) while another is trapped under a non-linear operator, so batches restricted to the former must
 /// certify fallback-freedom while batches touching the latter need not.
 struct QueryGen {
     rng: StdRng,
@@ -92,7 +92,7 @@ impl QueryGen {
             0 => self
                 .expr(depth - 1, arity)
                 .additive_union(self.expr(depth - 1, arity)),
-            // Non-linear set operators: trap both operands.
+            // Pointwise set operators: delta form through lookups.
             1 => self
                 .expr(depth - 1, arity)
                 .subtract(self.expr(depth - 1, arity)),
@@ -143,6 +143,8 @@ impl QueryGen {
                 let (i, j) = (self.rng.gen_range(1..=4), self.rng.gen_range(1..=4));
                 q.project(&[i, j])
             }
+            // Non-linear powerset (flattened back): traps every base.
+            9 => self.expr(depth - 1, arity).dedup().powerset().destroy(),
             _ => self.expr(depth - 1, arity),
         }
     }
@@ -176,7 +178,7 @@ fn random_update(rng: &mut StdRng, runtime: &ViewRuntime, batch: &mut UpdateBatc
     }
 }
 
-/// Stream batches at a view; whenever a batch touches only ≤-bilinear
+/// Stream batches at a view; whenever a batch touches only ≤-pointwise
 /// bases, the fallback and scalar counters must not move.
 fn run_case(seed: u64, depth: usize, arity: usize, batches: usize) {
     let mut generator = QueryGen::new(seed);
@@ -219,13 +221,13 @@ fn run_case(seed: u64, depth: usize, arity: usize, batches: usize) {
         }
         let after = runtime.stats().views;
         let all_linearish = touched.iter().all(|base| {
-            facts.get(base).copied().unwrap_or(Linearity::Unread) <= Linearity::Bilinear
+            facts.get(base).copied().unwrap_or(Linearity::Unread) <= Linearity::Pointwise
         });
         if all_linearish {
             assert_eq!(
                 (after.fallback_recomputes, after.scalar_recomputes),
                 (before.fallback_recomputes, before.scalar_recomputes),
-                "a ≤-bilinear batch over {touched:?} re-derived an operator \
+                "a ≤-pointwise batch over {touched:?} re-derived an operator \
                  for seed {seed}: {expr} with facts {facts:?}"
             );
         }
@@ -251,7 +253,7 @@ proptest! {
 }
 
 /// Deterministic spot checks of the certificate against hand-picked
-/// views: a linear chain, a bilinear join, and a mixed view where only
+/// views: a linear chain, a pointwise view, and a mixed view where only
 /// one base's updates are certified fallback-free.
 #[test]
 fn certificates_match_hand_classified_views() {
@@ -271,11 +273,18 @@ fn certificates_match_hand_classified_views() {
                 .project(&[2, 1]),
         )
         .unwrap();
-    // R − S is non-linear in both; R ∪⁺ (R − S) keeps R non-linear.
+    // R − S is pointwise in both; R ∪⁺ (R − S) keeps R pointwise.
+    runtime
+        .create_view(
+            "monus",
+            Expr::var("R").additive_union(Expr::var("R").subtract(Expr::var("S"))),
+        )
+        .unwrap();
+    // R ∪⁺ δ(P(ε(S))) — linear in R, non-linear in S.
     runtime
         .create_view(
             "mixed",
-            Expr::var("R").additive_union(Expr::var("R").subtract(Expr::var("S"))),
+            Expr::var("R").additive_union(Expr::var("S").dedup().powerset().destroy()),
         )
         .unwrap();
     let chain_facts: Vec<(String, Linearity)> = runtime
@@ -289,12 +298,18 @@ fn certificates_match_hand_classified_views() {
         })
         .unwrap();
     assert_eq!(chain_facts, vec![("G".to_owned(), Linearity::Linear)]);
-    let mixed = runtime
-        .views()
-        .find(|(name, _)| *name == "mixed")
-        .map(|(_, v)| v.linearity().clone())
-        .unwrap();
-    assert_eq!(mixed.get(&Var::from("R")), Some(&Linearity::NonLinear));
+    let facts_of = |view: &str| {
+        runtime
+            .views()
+            .find(|(name, _)| *name == view)
+            .map(|(_, v)| v.linearity().clone())
+            .unwrap()
+    };
+    let monus = facts_of("monus");
+    assert_eq!(monus.get(&Var::from("R")), Some(&Linearity::Pointwise));
+    assert_eq!(monus.get(&Var::from("S")), Some(&Linearity::Pointwise));
+    let mixed = facts_of("mixed");
+    assert_eq!(mixed.get(&Var::from("R")), Some(&Linearity::Linear));
     assert_eq!(mixed.get(&Var::from("S")), Some(&Linearity::NonLinear));
 
     // A G-only batch is certified: only the linear chain reads G.
@@ -306,9 +321,18 @@ fn certificates_match_hand_classified_views() {
     assert_eq!(stats.scalar_recomputes, 0, "{stats:?}");
     assert!(stats.linear_delta_ops > 0, "{stats:?}");
 
-    // An R batch hits the non-linear view and must re-derive the monus.
+    // An R batch is certified too: the monus takes the pointwise rule.
     let mut batch = UpdateBatch::new();
     batch.insert("R", unary(3));
+    batch.delete("R", unary(1));
+    runtime.apply(&batch).unwrap();
+    let after = runtime.stats().views;
+    assert_eq!(after.fallback_recomputes, 0, "{after:?}");
+    assert!(after.linear_delta_ops > stats.linear_delta_ops, "{after:?}");
+
+    // An S batch hits the powerset and must re-derive it.
+    let mut batch = UpdateBatch::new();
+    batch.insert("S", unary(3));
     runtime.apply(&batch).unwrap();
     assert!(runtime.stats().views.fallback_recomputes > 0);
     assert!(runtime.verify_all().unwrap());

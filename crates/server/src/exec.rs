@@ -389,6 +389,32 @@ mod tests {
         assert!(stats.text.contains("batches"), "{}", stats.text);
     }
 
+    /// The `serve` workload's `custs` shape: a SQL `DISTINCT` view is an
+    /// `ε`, maintained through the pointwise rule — inserts and deletes
+    /// never re-derive it, and `:check` agrees with a fresh evaluation.
+    #[test]
+    fn distinct_view_is_maintained_without_rederiving() {
+        let catalog = catalog();
+        let db = database_from_rows(&catalog, &[]).unwrap();
+        let mut rt = SqlRuntime::with_limits(catalog, db, Limits::default());
+        for statement in [
+            "INSERT INTO orders VALUES ('ann', 3), ('bob', 5), ('bob', 2)",
+            "CREATE VIEW custs AS SELECT DISTINCT customer FROM orders",
+            "INSERT INTO orders VALUES ('cleo', 1), ('ann', 4)",
+            "DELETE FROM orders VALUES ('bob', 5), ('ann', 3)",
+            "DELETE FROM orders VALUES ('bob', 2)",
+        ] {
+            let reply = execute_write(&mut rt, statement);
+            assert!(reply.ok, "{statement}: {}", reply.text);
+        }
+        let rows = rt.view_rows("custs").unwrap();
+        assert_eq!(rows.total_rows(), 2, "ann and cleo remain");
+        let stats = rt.runtime().stats().views;
+        assert_eq!(stats.fallback_recomputes, 0, "{stats:?}");
+        assert!(stats.linear_delta_ops > 0, "{stats:?}");
+        assert_eq!(execute_write(&mut rt, ":check"), Reply::ok("consistent"));
+    }
+
     #[test]
     fn analyze_over_the_statement_surface() {
         let mut twin = twin();
@@ -396,7 +422,7 @@ mod tests {
         assert!(reply.ok, "{}", reply.text);
         assert!(reply.text.contains("type: {{[U]}}"), "{}", reply.text);
         assert!(reply.text.contains("duplicate-free"), "{}", reply.text);
-        assert!(reply.text.contains("orders: non-linear"), "{}", reply.text);
+        assert!(reply.text.contains("orders: pointwise"), "{}", reply.text);
         // The reply is byte-equal to what execute_read renders over a
         // fresh snapshot — the twin IS that path, so a second pinned
         // snapshot must agree exactly.
